@@ -1,10 +1,15 @@
+import hashlib
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powersat.ir import parse_design
+from powersat import benchmarks
+from powersat.ir import DesignBuilder, parse_design
 from powersat.stimulus import (
+    PortSpec,
     SplitMix64,
     StimulusConfig,
     StimulusError,
@@ -157,3 +162,76 @@ def test_waveform_prefix_and_bounds():
     assert w.prefix(2).values == [0, 1]
     with pytest.raises(StimulusError):
         Waveform(2, [4])
+
+
+GOLDEN = 0x9E3779B97F4A7C15
+M64 = (1 << 64) - 1
+
+
+def reference_stream(seed: int, port: str, bit: int, spec: PortSpec, cycles: int) -> list[int]:
+    """One (port, bit) stream drawn a cycle at a time from the scalar generator."""
+    gen = SplitMix64(seed ^ fnv1a64(port.encode("utf-8")) ^ ((bit * GOLDEN) & M64))
+    value = 1 if gen.unit() < spec.initial_static_probability else 0
+    bits = [value]
+    for _ in range(1, cycles):
+        if gen.unit() < spec.toggle_rate:
+            value ^= 1
+        bits.append(value)
+    return bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
+    port=st.text(min_size=1, max_size=8),
+    rate=st.floats(0.0, 1.0),
+    isp=st.floats(0.0, 1.0),
+    width=st.integers(1, 70),
+    cycles=st.integers(1, 40),
+)
+def test_streams_match_the_scalar_generator(seed, port, rate, isp, width, cycles):
+    b = DesignBuilder("one")
+    b.add_input(port, width)
+    b.add_output("y", b.var(port))
+    spec = PortSpec(toggle_rate=rate, initial_static_probability=isp)
+    wave = generate_stimuli(StimulusConfig(cycles, seed, {port: spec}), b.finish())[port]
+    columns = [reference_stream(seed, port, bit, spec, cycles) for bit in range(width)]
+    expect = [sum(columns[bit][i] << bit for bit in range(width)) for i in range(cycles)]
+    assert wave.width == width
+    assert wave.values == expect
+
+
+# sha256 of every shipped config's stimuli, pinned before the generator was vectorized
+CORPUS_STIMULUS_SHA256 = {
+    ("comb_mux_add_tree", "cfg1"): "d1f1e6624566c1c7335a1f77d2d8cdc392d3337024b5d73a0fdd2467639f50d6",
+    ("comb_mux_add_tree", "cfg2"): "d1f1e6624566c1c7335a1f77d2d8cdc392d3337024b5d73a0fdd2467639f50d6",
+    ("comb_mux_add_tree", "cfg3"): "7b1d178b600e21e8779723122ef1de6cf9012e0fee67dbbdd1917d573aea82a4",
+    ("comb_mux_add_tree", "cfg4"): "7b1d178b600e21e8779723122ef1de6cf9012e0fee67dbbdd1917d573aea82a4",
+    ("dual_op_alu", "cfg1"): "7ebb47b2167d0ba9b556dad335a14531e58072c81d99139a4fdb0567fac2d3bd",
+    ("dual_op_alu", "cfg2"): "7ebb47b2167d0ba9b556dad335a14531e58072c81d99139a4fdb0567fac2d3bd",
+    ("dual_op_alu", "cfg3"): "9f63f699cd1fc77a2cf53d6a95dfcc5157b31efbe0047bdb75889c8f9a8b7632",
+    ("dual_op_alu", "cfg4"): "9f63f699cd1fc77a2cf53d6a95dfcc5157b31efbe0047bdb75889c8f9a8b7632",
+    ("fig1_op_isolate", "cfg1"): "019351e179e1a2206415f45edecd2bd32946c02eafdcba43c6849114a132848a",
+    ("fig1_op_isolate", "cfg2"): "019351e179e1a2206415f45edecd2bd32946c02eafdcba43c6849114a132848a",
+    ("fig1_op_isolate", "cfg3"): "b4e01c3f508532f593dfc2a208521ccc79f7a7e23f8934ce6a63d5795162f01f",
+    ("fig1_op_isolate", "cfg4"): "b4e01c3f508532f593dfc2a208521ccc79f7a7e23f8934ce6a63d5795162f01f",
+    ("pipe_mux_add_tree", "cfg1"): "c6a01b419cebc8e72f8bb83297ce8e19a529aed6571895b6037d96d655be1527",
+    ("pipe_mux_add_tree", "cfg2"): "452d8abae7bf1756f2e4f13f5756485f02e711cea39a11fcc8b259c41c44a960",
+    ("pipe_mux_add_tree", "cfg3"): "5c1a7a73b6fa368d2df54179cd27eb6c488c25531180e59d093f745718fb12bf",
+    ("pipe_mux_add_tree", "cfg4"): "e94254368c955de8de65c2c4ea0926992d42eb2c7a7213599695df1ef223763e",
+    ("seq_reg", "cfg1"): "ee3411d1ae5cde2e8db01e68587891d9850676441450a673d40d532bcffb21c7",
+    ("seq_reg", "cfg2"): "97f134461cfa87d092b77cdb04c5d3905e72c21956b4272f57cd492789c65ee7",
+    ("seq_reg", "cfg3"): "97f134461cfa87d092b77cdb04c5d3905e72c21956b4272f57cd492789c65ee7",
+    ("seq_reg", "cfg4"): "ee3411d1ae5cde2e8db01e68587891d9850676441450a673d40d532bcffb21c7",
+}
+
+
+def stimulus_digest(waves: dict[str, Waveform]) -> str:
+    blob = json.dumps({p: [w.width, w.values] for p, w in waves.items()}, sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name,config", sorted(CORPUS_STIMULUS_SHA256))
+def test_corpus_stimuli_are_pinned(name, config):
+    waves = generate_stimuli(benchmarks.stimuli_config(name, config), benchmarks.design(name))
+    assert stimulus_digest(waves) == CORPUS_STIMULUS_SHA256[name, config]
