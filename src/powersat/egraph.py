@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass, field
 
-from .ir import Design, Node, WidthError, infer_width
+from .ir import Design
 
 # Design-space counts saturate here so huge e-graphs stay cheap to summarize.
 COUNT_CAP = (1 << 63) - 1
@@ -130,13 +130,16 @@ class EGraph:
             classes.append(self.add(enode_of(design, i, classes)))
         return classes
 
-    def design_enodes(self, design: Design) -> dict[int, set[ENode]]:
-        """Canonical members contributed by a design, grouped by class."""
+    def design_enodes(self, design: Design) -> dict[int, list[ENode]]:
+        """Canonical members contributed by a design, grouped by class, each
+        class's members in design order."""
         classes = self.design_classes(design)
-        out: dict[int, set[ENode]] = {}
+        out: dict[int, list[ENode]] = {}
         for i in range(len(design.nodes)):
             n = self.canonicalize(enode_of(design, i, classes))
-            out.setdefault(self.find(classes[i]), set()).add(n)
+            members = out.setdefault(self.find(classes[i]), [])
+            if n not in members:
+                members.append(n)
         return out
 
     # -- merging and rebuilding --------------------------------------------
@@ -327,10 +330,88 @@ class EGraph:
         return "\n".join(lines) + "\n"
 
 
-def enode_width_check(n: ENode, widths: tuple[int, ...]) -> None:
-    """Assert an e-node's stored width matches what its children imply."""
-    if n.kind == "var" or n.kind == "const":
-        return
-    w = infer_width(n.kind, widths, n.count)
-    if w != n.width:
-        raise WidthError(f"{n.kind} node stored width {n.width}, inferred {w}")
+def strongly_connected(succ: dict[int, list[int]]) -> list[list[int]]:
+    """Strongly connected components of a graph given as node -> successors.
+
+    Iterative Tarjan. A component comes after every component it reaches, so
+    with edges from a reader to what it reads, dependencies come first.
+    Successors outside `succ` are ignored.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    out: list[list[int]] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in succ:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
+    return out
+
+
+def combinational_edges(g: EGraph, choice: dict[int, ENode]) -> dict[int, list[int]]:
+    """Class -> classes its chosen node reads within the cycle. A register
+    reads the previous cycle, so its edges do not count."""
+    return {cid: [] if n.kind == "reg" else [g.find(c) for c in n.children]
+            for cid, n in choice.items()}
+
+
+def closes_cycle(comp: list[int], succ: dict[int, list[int]]) -> bool:
+    """Whether a strongly connected component holds a cycle (or a self-loop)."""
+    return len(comp) > 1 or comp[0] in succ[comp[0]]
+
+
+def origin_choice(g: EGraph, origin: dict[int, list[ENode]]) -> dict[int, ENode]:
+    """One seed-design member per design class, combinationally acyclic.
+
+    Each class takes its smallest member by node key. After rewriting, that
+    member can read its own class: `(or a a)` lands in the class of `a`.
+    Every class on such a cycle takes instead its member of lowest design
+    index; that member reads only classes of earlier design nodes, so the
+    replacements repeat until no cycle is left.
+    """
+    choice: dict[int, ENode] = {}
+    first: dict[int, ENode] = {}
+    for cid, nodes in origin.items():
+        root = g.find(cid)
+        if root not in choice:
+            choice[root] = min(nodes, key=node_key)
+            first[root] = nodes[0]
+    while True:
+        reads = combinational_edges(g, choice)
+        cyclic = [c for comp in strongly_connected(reads) if closes_cycle(comp, reads)
+                  for c in comp if choice[c] != first[c]]
+        if not cyclic:
+            return choice
+        for cid in cyclic:
+            choice[cid] = first[cid]

@@ -10,7 +10,7 @@ always exists and the objective can only improve on the baseline.
 import time
 from dataclasses import dataclass, field
 
-from .egraph import EGraph, EGraphError, ENode, node_key
+from .egraph import EGraph, EGraphError, ENode, node_key, origin_choice
 from .ir import Design, DesignBuilder
 
 
@@ -57,8 +57,7 @@ def build_problem(
 
 def seed_from_design(g: EGraph, design: Design) -> dict[int, ENode]:
     """The original design as a selection: each of its classes keeps its node."""
-    origin = g.design_enodes(design)
-    return {cid: min(nodes, key=node_key) for cid, nodes in origin.items()}
+    return origin_choice(g, g.design_enodes(design))
 
 
 def _closure(g: EGraph, choice: dict[int, ENode], roots: list[int]) -> dict[int, ENode]:

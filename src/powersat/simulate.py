@@ -4,14 +4,25 @@ Registers update from the previous cycle: a Reg's output at cycle i is its
 data input at i-1 when enabled at i-1, the held value otherwise, and 0 at
 cycle 0. A transparent register (Treg) passes its input combinationally while
 enabled, holds while disabled, and reads 0 before its first enable.
+
+Each representative is evaluated over its whole waveform at once by one entry
+of `_OPS`, after the classes it reads. Only a group of classes that reads
+itself through a register is stepped a cycle at a time, with the same table.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .egraph import EGraph, ENode, node_key
-from .stimulus import Waveform
+from .egraph import (
+    EGraph,
+    ENode,
+    closes_cycle,
+    combinational_edges,
+    origin_choice,
+    strongly_connected,
+)
+from .stimulus import Waveform, word_dtype
 
 
 class SimulationError(Exception):
@@ -19,21 +30,17 @@ class SimulationError(Exception):
 
 
 def choose_representatives(
-    g: EGraph, origin: dict[int, set[ENode]] | None = None
+    g: EGraph, origin: dict[int, list[ENode]] | None = None
 ) -> dict[int, ENode]:
     """Pick one member per class so the induced graph is combinationally acyclic.
 
     Classes holding nodes of the seed design take those nodes first (the
-    statistics then favor the designer's structure); remaining classes are
-    filled in rounds, each round admitting nodes whose combinational children
-    are already assigned. Reg nodes read state, so they are always admissible.
+    statistics then favor the designer's structure; see `origin_choice`);
+    remaining classes are filled in rounds, each round admitting nodes whose
+    combinational children are already assigned. Reg nodes read state, so
+    they are always admissible.
     """
-    rep: dict[int, ENode] = {}
-    if origin:
-        for cid in sorted(origin, key=lambda c: g.find(c)):
-            root = g.find(cid)
-            if root not in rep:
-                rep[root] = min(origin[cid], key=node_key)
+    rep: dict[int, ENode] = origin_choice(g, origin) if origin else {}
 
     def ready(n: ENode) -> bool:
         if n.kind == "reg":
@@ -57,126 +64,159 @@ def choose_representatives(
     return rep
 
 
-def _toposort(g: EGraph, rep: dict[int, ENode]) -> list[int]:
-    """Classes ordered so combinational children precede their readers."""
-    deps = {
-        cid: set() if n.kind == "reg" else {g.find(c) for c in n.children}
-        for cid, n in rep.items()
-    }
-    order: list[int] = []
-    ready = sorted(c for c, d in deps.items() if not d)
-    placed: set[int] = set()
-    readers: dict[int, list[int]] = {}
-    for cid, d in deps.items():
-        for c in d:
-            readers.setdefault(c, []).append(cid)
-    remaining = {c: len(d) for c, d in deps.items()}
-    while ready:
-        nxt: list[int] = []
-        for cid in ready:
-            order.append(cid)
-            placed.add(cid)
-            for r in readers.get(cid, ()):
-                remaining[r] -= 1
-                if remaining[r] == 0:
-                    nxt.append(r)
-        ready = sorted(nxt)
-    if len(order) != len(rep):
-        raise SimulationError("combinational cycle among chosen representatives")
-    return order
+# -- operator semantics --------------------------------------------------------
+#
+# Every entry maps an e-node and its child waveforms, all of one dtype (uint64,
+# or Python ints when any word involved is wider than 64 bits), to the node's
+# waveform. `k` turns a Python int into a scalar of that dtype, so no operation
+# mixes uint64 with a signed or float type. Shift amounts are clamped before
+# shifting (numpy leaves shifts by 64 or more undefined) and the out-of-range
+# cycles are selected away afterwards.
+
+def _hold(d: np.ndarray, en: np.ndarray) -> np.ndarray:
+    """At each cycle, the sample of `d` from the last cycle `en` was set, else 0."""
+    last = np.where(en != 0, np.arange(1, len(d) + 1), 0)
+    np.maximum.accumulate(last, out=last)
+    return np.concatenate((np.zeros(1, d.dtype), d))[last]
 
 
-def eval_enode_stream(
-    n: ENode, child_waves: list[list[int]], cycles: int, inputs: dict[str, Waveform]
-) -> list[int]:
-    """Simulate a single e-node given the full waveforms of its child classes."""
-    mask = (1 << n.width) - 1
-    out: list[int] = []
-    if n.kind == "var":
-        return list(inputs[n.port].values[:cycles])
-    if n.kind == "const":
-        return [n.value] * cycles
-    for i in range(cycles):
-        out.append(_step(n, child_waves, out, i, mask))
+def _reg(n, k, d, en):
+    out = np.zeros_like(d)
+    out[1:] = _hold(d, en)[:-1]
     return out
 
 
-def _step(n: ENode, ch: list[list[int]], own: list[int], i: int, mask: int) -> int:
-    kind = n.kind
-    if kind == "reg":
-        if i == 0:
-            return 0
-        return ch[0][i - 1] if ch[1][i - 1] else own[i - 1]
-    if kind == "treg":
-        if ch[1][i]:
-            return ch[0][i]
-        return own[i - 1] if i > 0 else 0
-    if kind == "mux":
-        return ch[1][i] if ch[0][i] else ch[2][i]
-    if kind == "add":
-        return (ch[0][i] + ch[1][i]) & mask
-    if kind == "add3":
-        return (ch[0][i] + ch[1][i] + ch[2][i]) & mask
-    if kind == "sub":
-        return (ch[0][i] - ch[1][i]) & mask
-    if kind == "mul":
-        return ch[0][i] * ch[1][i]
-    if kind == "and":
-        return ch[0][i] & ch[1][i]
-    if kind == "or":
-        return ch[0][i] | ch[1][i]
-    if kind == "xor":
-        return ch[0][i] ^ ch[1][i]
-    if kind == "not":
-        return ch[0][i] ^ mask
-    if kind == "shl":
-        sh = ch[1][i]
-        return (ch[0][i] << sh) & mask if sh < n.width else 0
-    if kind == "shr":
-        sh = ch[1][i]
-        return ch[0][i] >> sh if sh < n.width else 0
-    if kind == "rep":
-        v, w = ch[0][i], n.width // n.count
-        return sum(v << (k * w) for k in range(n.count))
-    raise SimulationError(f"cannot simulate {kind!r}")
+def _shl(n, k, a, sh):
+    shifted = (a << np.minimum(sh, k(n.width - 1))) & k((1 << n.width) - 1)
+    return np.where(sh < k(n.width), shifted, k(0))
+
+
+def _shr(n, k, a, sh):
+    return np.where(sh < k(n.width), a >> np.minimum(sh, k(n.width - 1)), k(0))
+
+
+def _rep(n, k, a):
+    part = n.width // n.count
+    out = np.zeros_like(a)
+    for j in range(n.count):
+        out = out + (a << k(j * part))
+    return out
+
+
+_OPS = {
+    "reg": _reg,
+    "treg": lambda n, k, d, en: _hold(d, en),
+    "mux": lambda n, k, s, a, b: np.where(s != 0, a, b),
+    "add": lambda n, k, a, b: (a + b) & k((1 << n.width) - 1),
+    "add3": lambda n, k, a, b, c: (a + b + c) & k((1 << n.width) - 1),
+    "sub": lambda n, k, a, b: (a - b) & k((1 << n.width) - 1),
+    "mul": lambda n, k, a, b: a * b,
+    "and": lambda n, k, a, b: a & b,
+    "or": lambda n, k, a, b: a | b,
+    "xor": lambda n, k, a, b: a ^ b,
+    "not": lambda n, k, a: a ^ k((1 << n.width) - 1),
+    "shl": _shl,
+    "shr": _shr,
+    "rep": _rep,
+}
+
+
+def _apply(n: ENode, children: list[np.ndarray], widths: list[int]) -> np.ndarray:
+    """One operator over its child waveforms (equal lengths, any word dtypes).
+
+    The work dtype covers the node and every child; for `mul` it covers the
+    full product, so a product never wraps before the width check sees it.
+    """
+    op = _OPS.get(n.kind)
+    if op is None:
+        raise SimulationError(f"cannot simulate {n.kind!r}")
+    widest = sum(widths) if n.kind == "mul" else max(widths, default=0)
+    dtype = word_dtype(max(n.width, widest))
+    return op(n, dtype.type, *(c.astype(dtype, copy=False) for c in children))
+
+
+def _node_wave(
+    n: ENode, children: list[np.ndarray], widths: list[int], stimuli: dict[str, Waveform],
+    cycles: int,
+) -> np.ndarray:
+    if n.kind == "var":
+        if n.port not in stimuli:
+            raise SimulationError(f"no stimulus for input port {n.port!r}")
+        return stimuli[n.port].array[:cycles]
+    if n.kind == "const":
+        return np.full(cycles, n.value, dtype=word_dtype(n.width))
+    return _apply(n, children, widths)
+
+
+def _fit(values: np.ndarray, width: int, cid: int) -> np.ndarray:
+    """`values` in the class's word dtype; raises if any overflows the width."""
+    if len(values) and int(values.max()) >> width:
+        bad = next(int(v) for v in values if int(v) >> width)
+        raise SimulationError(f"value {bad} overflows width of class {cid}")
+    return values.astype(word_dtype(width), copy=False)
+
+
+def _combinational_order(g: EGraph, rep: dict[int, ENode], group: list[int]) -> list[int]:
+    """Members of a register loop, each after the members it reads this cycle."""
+    reads = combinational_edges(g, {cid: rep[cid] for cid in group})
+    parts = strongly_connected(reads)
+    if any(closes_cycle(part, reads) for part in parts):
+        raise SimulationError("combinational cycle among chosen representatives")
+    return [part[0] for part in parts]
+
+
+def _step_loop(
+    g: EGraph, rep: dict[int, ENode], group: list[int], waves: dict[int, np.ndarray],
+    cycles: int,
+) -> None:
+    """Simulate a group of classes that reads itself through a register, one
+    cycle at a time: registers by their update rule, everything else by `_OPS`
+    on the cycle's samples."""
+    order = _combinational_order(g, rep, group)
+    for cid in order:
+        waves[cid] = np.zeros(cycles, dtype=word_dtype(rep[cid].width))
+    plan = []
+    for cid in order:
+        n = rep[cid]
+        children = [waves[g.find(c)] for c in n.children]
+        plan.append((cid, n, children, [g.class_width(c) for c in n.children], waves[cid]))
+    for i in range(cycles):
+        for cid, n, ch, widths, own in plan:
+            if n.kind == "reg":
+                v = (ch[0][i - 1] if ch[1][i - 1] else own[i - 1]) if i else 0
+            elif n.kind == "treg":
+                v = ch[0][i] if ch[1][i] else (own[i - 1] if i else 0)
+            else:
+                v = _apply(n, [c[i:i + 1] for c in ch], widths)[0]
+            if int(v) >> n.width:
+                raise SimulationError(f"value {int(v)} overflows width of class {cid}")
+            own[i] = v
 
 
 def simulate(
     g: EGraph, rep: dict[int, ENode], stimuli: dict[str, Waveform]
 ) -> dict[int, Waveform]:
     """Waveform of every class under its representative. Every value is
-    checked against the class width as it is produced."""
+    checked against the class width."""
     cycle_counts = {w.cycles for w in stimuli.values()}
     if len(cycle_counts) != 1:
         raise SimulationError(f"stimuli disagree on cycle count: {sorted(cycle_counts)}")
     cycles = cycle_counts.pop()
-    order = _toposort(g, rep)
-    # buffers first: a register may precede its children in evaluation order
-    waves: dict[int, list[int]] = {}
-    for cid in order:
-        n = rep[cid]
-        if n.kind == "var":
-            if n.port not in stimuli:
-                raise SimulationError(f"no stimulus for input port {n.port!r}")
-            waves[cid] = list(stimuli[n.port].values)
-        elif n.kind == "const":
-            waves[cid] = [n.value] * cycles
-        else:
-            waves[cid] = [0] * cycles
-    evaluators: list[tuple[int, ENode, list[list[int]], list[int], int]] = []
-    for cid in order:
-        n = rep[cid]
-        if n.kind in ("var", "const"):
+    reads = {cid: [g.find(c) for c in n.children] for cid, n in rep.items()}
+    for cid, r in reads.items():
+        if any(c not in rep for c in r):
+            raise SimulationError(f"class {cid} reads a class with no representative")
+    waves: dict[int, np.ndarray] = {}
+    for group in strongly_connected(reads):
+        if closes_cycle(group, reads):
+            _step_loop(g, rep, group, waves, cycles)
             continue
-        evaluators.append((cid, n, [waves[g.find(c)] for c in n.children],
-                           waves[cid], (1 << n.width) - 1))
-    for i in range(cycles):
-        for cid, n, ch, own, mask in evaluators:
-            v = _step(n, ch, own, i, mask)
-            if v & ~mask:
-                raise SimulationError(f"value {v} overflows width of class {cid}")
-            own[i] = v
-    return {cid: Waveform(rep[cid].width, vals) for cid, vals in waves.items()}
+        cid = group[0]
+        n = rep[cid]
+        out = _node_wave(n, [waves[c] for c in reads[cid]],
+                         [g.class_width(c) for c in reads[cid]], stimuli, cycles)
+        waves[cid] = out if n.kind in ("var", "const") else _fit(out, n.width, cid)
+    return {cid: Waveform(rep[cid].width, w) for cid, w in waves.items()}
 
 
 @dataclass(frozen=True)
@@ -192,46 +232,57 @@ class ActivityStats:
     static_prob_mean: float
 
 
-def activity(w: Waveform) -> ActivityStats:
-    """Per-bit and word-level toggle statistics of a waveform."""
-    n = w.cycles
-    if n < 2:
-        raise SimulationError("activity needs at least two cycles")
-    if w.width <= 64:
-        arr = np.array(w.values, dtype=np.uint64)
-        diff = arr[1:] ^ arr[:-1]
-        toggles = tuple(int(((diff >> np.uint64(b)) & np.uint64(1)).sum())
-                        for b in range(w.width))
-        ones = tuple(int(((arr >> np.uint64(b)) & np.uint64(1)).sum())
-                     for b in range(w.width))
-    else:
-        toggles_l = [0] * w.width
-        ones_l = [0] * w.width
-        prev = w.values[0]
-        for b in range(w.width):
-            ones_l[b] += (prev >> b) & 1
-        for v in w.values[1:]:
-            d = v ^ prev
-            for b in range(w.width):
-                toggles_l[b] += (d >> b) & 1
-                ones_l[b] += (v >> b) & 1
-            prev = v
-        toggles, ones = tuple(toggles_l), tuple(ones_l)
-    rates = tuple(t / (n - 1) for t in toggles)
-    probs = tuple(o / n for o in ones)
+def _bit_counts(rows: np.ndarray, width: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Per-row, per-bit toggle and one counts of a (waveforms, cycles) matrix."""
+    rows = rows.astype(np.min_scalar_type((1 << width) - 1), copy=False)
+    diff = rows[:, 1:] ^ rows[:, :-1]
+    toggles = np.empty((len(rows), width), dtype=np.int64)
+    ones = np.empty((len(rows), width), dtype=np.int64)
+    for b in range(width):
+        bit = rows.dtype.type(1 << b)
+        toggles[:, b] = np.count_nonzero(diff & bit, axis=1)
+        ones[:, b] = np.count_nonzero(rows & bit, axis=1)
+    return toggles.tolist(), ones.tolist()
+
+
+def _stats(width: int, cycles: int, toggles: list[int], ones: list[int]) -> ActivityStats:
+    rates = tuple(t / (cycles - 1) for t in toggles)
+    probs = tuple(o / cycles for o in ones)
     return ActivityStats(
-        width=w.width,
-        cycles=n,
-        toggles=toggles,
+        width=width,
+        cycles=cycles,
+        toggles=tuple(toggles),
         rates=rates,
-        word_rate=sum(rates) / w.width,
+        word_rate=sum(rates) / width,
         static_prob=probs,
-        static_prob_mean=sum(probs) / w.width,
+        static_prob_mean=sum(probs) / width,
     )
 
 
+def activity(w: Waveform) -> ActivityStats:
+    """Per-bit and word-level toggle statistics of a waveform."""
+    return graph_activity({0: w})[0]
+
+
+# Waveforms counted per batch: bounds the temporaries of one batch to a few MB.
+_ACTIVITY_BATCH = 256
+
+
 def graph_activity(waves: dict[int, Waveform]) -> dict[int, ActivityStats]:
-    return {cid: activity(w) for cid, w in waves.items()}
+    """`activity` of every waveform, counted in batches of equal shape."""
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for cid, w in waves.items():
+        if w.cycles < 2:
+            raise SimulationError("activity needs at least two cycles")
+        shapes.setdefault((w.width, w.cycles), []).append(cid)
+    stats: dict[int, ActivityStats] = {}
+    for (width, cycles), cids in shapes.items():
+        for start in range(0, len(cids), _ACTIVITY_BATCH):
+            batch = cids[start:start + _ACTIVITY_BATCH]
+            toggles, ones = _bit_counts(np.stack([waves[c].array for c in batch]), width)
+            for cid, t, o in zip(batch, toggles, ones):
+                stats[cid] = _stats(width, cycles, t, o)
+    return {cid: stats[cid] for cid in waves}
 
 
 def activity_csv(stats: dict[int, ActivityStats]) -> str:
@@ -255,11 +306,12 @@ def class_consistency_mismatches(
     cycles = min(w.cycles for w in stimuli.values())
     bad = []
     for cid in g.class_ids():
-        expect = waves[cid].values
+        expect = waves[cid].array
         for n in g.nodes_of(cid):
-            child_waves = [waves[g.find(c)].values for c in n.children]
-            got = eval_enode_stream(n, child_waves, cycles, stimuli)
-            if got != expect:
-                first = next(i for i, (x, y) in enumerate(zip(got, expect)) if x != y)
-                bad.append((cid, n, first))
+            children = [waves[g.find(c)].array for c in n.children]
+            got = _node_wave(n, children, [g.class_width(c) for c in n.children],
+                             stimuli, cycles)
+            differ = np.flatnonzero(got != expect)
+            if len(differ):
+                bad.append((cid, n, int(differ[0])))
     return bad

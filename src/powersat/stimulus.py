@@ -3,6 +3,8 @@
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .ir import Design
 
 _M64 = (1 << 64) - 1
@@ -40,25 +42,67 @@ class SplitMix64:
         return self.next_u64() / _TWO64
 
 
-@dataclass
+def word_dtype(width: int) -> np.dtype:
+    """Array dtype holding words of a width: uint64, or Python ints past 64 bits."""
+    return np.dtype(np.uint64) if width <= 64 else np.dtype(object)
+
+
 class Waveform:
-    """A cycle-indexed stream of unsigned words of one width."""
+    """A cycle-indexed stream of unsigned words of one width.
 
-    width: int
-    values: list[int]
+    Built from a list of ints or from an array (uint64, object past 64 bits).
+    The range is checked once; the other form is derived on first use and kept.
+    `values` is always a list of Python ints, so scalar code never sees a
+    wrapping numpy integer.
+    """
 
-    def __post_init__(self):
-        mask = (1 << self.width) - 1
-        for v in self.values:
-            if not 0 <= v <= mask:
-                raise StimulusError(f"value {v} does not fit in {self.width} bits")
+    __slots__ = ("width", "_values", "_array")
+
+    def __init__(self, width: int, values):
+        self.width = width
+        self._values: list[int] | None = None
+        self._array: np.ndarray | None = None
+        if isinstance(values, np.ndarray):
+            self._array = values if values.dtype == word_dtype(width) else \
+                values.astype(word_dtype(width))
+            lo, hi = (int(self._array.min()), int(self._array.max())) if len(values) else (0, 0)
+        else:
+            self._values = values
+            lo, hi = (int(min(values)), int(max(values))) if values else (0, 0)
+        if lo < 0 or hi >= 1 << width:
+            bad = next(int(v) for v in self.array if not 0 <= v < (1 << width))
+            raise StimulusError(f"value {bad} does not fit in {width} bits")
+
+    @property
+    def values(self) -> list[int]:
+        if self._values is None:
+            self._values = self._array.tolist()
+        return self._values
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            self._array = np.array(self._values, dtype=word_dtype(self.width))
+        return self._array
 
     @property
     def cycles(self) -> int:
-        return len(self.values)
+        return len(self._values) if self._values is not None else len(self._array)
 
     def prefix(self, cycles: int) -> "Waveform":
-        return Waveform(self.width, self.values[:cycles])
+        if self._values is not None:
+            return Waveform(self.width, self._values[:cycles])
+        return Waveform(self.width, self._array[:cycles])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Waveform):
+            return NotImplemented
+        return self.width == other.width and np.array_equal(self.array, other.array)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Waveform(width={self.width}, values={self.values!r})"
 
 
 @dataclass
@@ -142,17 +186,34 @@ class StimulusConfig:
         return cls(cycles, seed, inputs)
 
 
-def _bit_stream(seed: int, port: str, bit: int, spec: PortSpec, cycles: int) -> list[int]:
-    stream_seed = seed ^ fnv1a64(port.encode("utf-8")) ^ ((bit * _GOLDEN) & _M64)
-    gen = SplitMix64(stream_seed)
-    bits = []
-    value = 1 if gen.unit() < spec.initial_static_probability else 0
-    bits.append(value)
-    for _ in range(1, cycles):
-        if gen.unit() < spec.toggle_rate:
-            value ^= 1
-        bits.append(value)
-    return bits
+def _unit_draws(stream_seeds: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` splitmix64 draws of each seed as units in [0, 1):
+    one row per seed, equal to calling `SplitMix64(seed).unit()` `count` times."""
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z = stream_seeds[:, None] + steps[None, :]
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    # uint64 -> float64 rounds to nearest, as Python's int / float does
+    return z.astype(np.float64) / _TWO64
+
+
+def _random_port(seed: int, port: str, width: int, spec: PortSpec, cycles: int) -> np.ndarray:
+    """Words of one port: bit b is the toggle stream seeded by (seed, port, b),
+    which starts at 1 with the initial static probability and flips on each
+    later cycle whose draw falls under the toggle rate."""
+    base = seed ^ fnv1a64(port.encode("utf-8"))
+    seeds = np.array([(base ^ (b * _GOLDEN)) & _M64 for b in range(width)], dtype=np.uint64)
+    units = _unit_draws(seeds, cycles)
+    flips = np.empty(units.shape, dtype=np.uint8)
+    flips[:, 0] = units[:, 0] < spec.initial_static_probability
+    flips[:, 1:] = units[:, 1:] < spec.toggle_rate
+    bits = np.bitwise_xor.accumulate(flips, axis=1)
+    dtype = word_dtype(width)
+    words = np.zeros(cycles, dtype=dtype)
+    for b in range(width):
+        words |= bits[b].astype(dtype) << dtype.type(b)
+    return words
 
 
 def generate_stimuli(cfg: StimulusConfig, design: Design) -> dict[str, Waveform]:
@@ -174,12 +235,7 @@ def generate_stimuli(cfg: StimulusConfig, design: Design) -> dict[str, Waveform]
                     raise StimulusError(f"port {port!r}: vector {v:#x} exceeds {width} bits")
             waves[port] = Waveform(width, list(spec.vectors))
             continue
-        columns = [_bit_stream(cfg.seed, port, b, spec, cfg.cycles) for b in range(width)]
-        values = [
-            sum(columns[b][i] << b for b in range(width))
-            for i in range(cfg.cycles)
-        ]
-        waves[port] = Waveform(width, values)
+        waves[port] = Waveform(width, _random_port(cfg.seed, port, width, spec, cfg.cycles))
     return waves
 
 

@@ -226,3 +226,20 @@ def test_verification_failure_exits_2(fig1, tmp_path, capsys, monkeypatch):
     assert eq["verdict"] == "fail"
     assert (eq["cycle"], eq["port"], eq["expected"], eq["actual"]) == (2, "out", 0, 1)
     assert eq["counterexample"] == replay
+
+
+@pytest.mark.parametrize("text,port", [
+    # (or p0 p0) joins the class of p0 and so reads its own class
+    ("(module m (input p0 4) (output y (add (or p0 p0) p0)))", "p0"),
+    # (not (not a)) joins the class of a: a two-class loop through (not a)
+    ("(module m (input a 4) (output y (xor (not (not a)) a)))", "a"),
+])
+def test_design_member_that_reads_its_own_class_is_passed_over(tmp_path, text, port):
+    dsl = tmp_path / "m.dsl"
+    dsl.write_text(text)
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"cycles": 200, "seed": 3,
+                               "inputs": {port: {"toggle_rate": 0.4}}}))
+    rc = invoke("--input", dsl, "--stimuli", cfg, "--max-iters", 1,
+                "--output", tmp_path / "opt.dsl")
+    assert rc == 0

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersat.egraph import EGraph, ENode
+from powersat.equiv import simulate_design
+from powersat.extract import seed_from_design
 from powersat.ir import parse_design
 from powersat.rewrite import apply_rules, rules_by_name
 from powersat.simulate import (
@@ -180,3 +184,80 @@ def test_class_consistency_after_rewriting():
     stim = random_stimuli(rng, d, 64)
     waves = simulate(g, rep, stim)
     assert class_consistency_mismatches(g, rep, waves, stim) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cycles=st.integers(1, 24))
+def test_graph_simulation_matches_the_scalar_oracle(seed, cycles):
+    rng = random.Random(seed)
+    d = random_design(rng)
+    g = EGraph()
+    g.add_expr(d)
+    stim = random_stimuli(rng, d, cycles)
+    waves = simulate(g, choose_representatives(g, origin=g.design_enodes(d)), stim)
+    _, values = simulate_design(d, stim)
+    for idx, cid in enumerate(g.design_classes(d)):
+        assert waves[g.find(cid)].values == values[idx], d.nodes[idx]
+
+
+def accumulator():
+    """q = reg(q + a, en), built by merging a placeholder with the register."""
+    g = EGraph()
+    a = g.add(ENode("var", (), 4, "a"))
+    en = g.add(ENode("var", (), 1, "en"))
+    q = g.add(ENode("var", (), 4, "q"))
+    total = g.add(ENode("add", (q, a), 4))
+    g.merge(q, g.add(ENode("reg", (total, en), 4)))
+    g.rebuild()
+    return g, g.find(q), g.find(total)
+
+
+def test_register_loop_is_stepped_per_cycle():
+    g, q, total = accumulator()
+    rep = choose_representatives(g)
+    assert rep[q].kind == "reg"  # the register reads its own class through the add
+    waves = simulate(g, rep, {"a": Waveform(4, [1, 2, 3, 4, 5, 9]),
+                              "en": Waveform(1, [1, 1, 0, 1, 1, 1]),
+                              "q": Waveform(4, [0] * 6)})
+    assert waves[q].values == [0, 1, 3, 3, 7, 12]
+    assert waves[total].values == [1, 3, 6, 7, 12, 5]  # wraps at 4 bits
+
+
+def test_combinational_loop_is_rejected():
+    g, q, total = accumulator()
+    rep = choose_representatives(g)
+    rep[q] = ENode("and", (total, total), 4)
+    with pytest.raises(SimulationError, match="combinational cycle"):
+        simulate(g, rep, {"a": Waveform(4, [1]), "en": Waveform(1, [1]), "q": Waveform(4, [0])})
+
+
+def test_words_wider_than_64_bits():
+    top = (1 << 40) - 1
+    waves, g, roots = run_design(
+        "(module m (input a 40) (input b 40) (output y (mul a b)) (output z (rep2 a)))",
+        a=[top, 3, 1 << 39], b=[top, 5, 2],
+    )
+    y, z = (g.find(r) for r in roots)
+    assert g.class_width(y) == 80
+    assert waves[y].values == [top * top, 15, 1 << 40]
+    assert waves[z].values == [top << 40 | top, 3 << 40 | 3, 1 << 79 | 1 << 39]
+    v = waves[y].values
+    stats = activity(waves[y])
+    assert stats.toggles == tuple(((v[0] ^ v[1]) >> b & 1) + ((v[1] ^ v[2]) >> b & 1)
+                                  for b in range(80))
+    assert stats.static_prob[79] == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("text", [
+    "(module m (input p0 4) (output y (add (or p0 p0) p0)))",
+    "(module m (input a 4) (output y (xor (not (not a)) a)))",
+])
+def test_design_choice_is_acyclic_after_rewriting(text):
+    g, d, _ = seeded(text)
+    apply_rules(g, rules_by_name(None), max_iters=1)
+    origin = g.design_enodes(d)
+    rep = choose_representatives(g, origin=origin)
+    seed = seed_from_design(g, d)
+    assert {cid: rep[cid] for cid in seed} == seed
+    assert all(n in origin[cid] for cid, n in seed.items())
+    simulate(g, rep, random_stimuli(random.Random(5), d, 8))

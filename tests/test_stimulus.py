@@ -182,7 +182,7 @@ def reference_stream(seed: int, port: str, bit: int, spec: PortSpec, cycles: int
 
 @settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(0, (1 << 64) - 1),
+    seed=st.integers(-(1 << 64), 1 << 65),
     port=st.text(min_size=1, max_size=8),
     rate=st.floats(0.0, 1.0),
     isp=st.floats(0.0, 1.0),
