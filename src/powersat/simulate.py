@@ -233,8 +233,8 @@ class ActivityStats:
 
 
 def _bit_counts(rows: np.ndarray, width: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Per-row, per-bit toggle and one counts of a (waveforms, cycles) matrix."""
-    rows = rows.astype(np.min_scalar_type((1 << width) - 1), copy=False)
+    """Per-row, per-bit toggle and one counts of a (waveforms, cycles) matrix
+    in the narrowest unsigned dtype that holds the width."""
     diff = rows[:, 1:] ^ rows[:, :-1]
     toggles = np.empty((len(rows), width), dtype=np.int64)
     ones = np.empty((len(rows), width), dtype=np.int64)
@@ -264,7 +264,8 @@ def activity(w: Waveform) -> ActivityStats:
     return graph_activity({0: w})[0]
 
 
-# Waveforms counted per batch: bounds the temporaries of one batch to a few MB.
+# Waveforms counted per batch: bounds the temporaries of one batch to about a MB
+# at 2,000 cycles and 8 bits.
 _ACTIVITY_BATCH = 256
 
 
@@ -279,7 +280,10 @@ def graph_activity(waves: dict[int, Waveform]) -> dict[int, ActivityStats]:
     for (width, cycles), cids in shapes.items():
         for start in range(0, len(cids), _ACTIVITY_BATCH):
             batch = cids[start:start + _ACTIVITY_BATCH]
-            toggles, ones = _bit_counts(np.stack([waves[c].array for c in batch]), width)
+            rows = np.empty((len(batch), cycles), dtype=np.min_scalar_type((1 << width) - 1))
+            for i, cid in enumerate(batch):
+                rows[i] = waves[cid].array
+            toggles, ones = _bit_counts(rows, width)
             for cid, t, o in zip(batch, toggles, ones):
                 stats[cid] = _stats(width, cycles, t, o)
     return {cid: stats[cid] for cid in waves}
