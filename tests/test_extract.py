@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from powersat import benchmarks, cli
 from powersat.egraph import EGraph, EGraphError, ENode
 from powersat.extract import (
     build_problem,
@@ -267,3 +269,34 @@ def test_lp_text_shape():
     lvl_rows = [ln for ln in text.splitlines() if ln.lstrip().startswith("lvl_x_")]
     assert len(lvl_rows) == 1
     assert lp_text(build_problem(g, zero_scores(g))) == text
+
+
+# Search-tree pins: the objective, node count and optimality flag of the
+# branch and bound on corpus cells (8 rewrite iterations, 2 for add-trees).
+# A change to the solver that keeps the same search tree keeps all three.
+SEARCH_TREE_PINS = [
+    ("fig1_op_isolate", "cfg1", 124.18234117058527, 6045),
+    ("fig1_op_isolate", "cfg2", 124.18234117058527, 6045),
+    ("fig1_op_isolate", "cfg3", 151.27434550608635, 3218),
+    ("fig1_op_isolate", "cfg4", 151.27434550608635, 3218),
+    ("seq_reg", "cfg1", 7.560780390195099, 56),
+    ("seq_reg", "cfg2", 12.3818575954644, 63),
+    ("seq_reg", "cfg3", 12.3818575954644, 63),
+    ("seq_reg", "cfg4", 7.560780390195099, 56),
+    ("dual_op_alu", "cfg3", 66.01579956644991, 21998),
+    ("dual_op_alu", "cfg4", 66.01579956644991, 21998),
+    ("comb_mux_add_tree", "cfg3", 101.37006003001501, 41479),
+]
+
+
+@pytest.mark.parametrize("name,cfg,objective,explored", SEARCH_TREE_PINS)
+def test_search_tree_is_pinned(name, cfg, objective, explored, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    iters = 2 if name.endswith("add_tree") else 8
+    rc = cli.main(["--input", str(benchmarks.design_path(name)),
+                   "--stimuli", str(benchmarks.stimuli_path(name, cfg)),
+                   "--max-iters", str(iters), "--report", str(report)])
+    assert rc == 0
+    got = json.loads(report.read_text())
+    assert got["optimized_objective"] == pytest.approx(objective, rel=1e-12)
+    assert got["solver"] == {"explored": explored, "proven_optimal": True}
