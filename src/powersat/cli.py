@@ -103,7 +103,7 @@ def run(args: argparse.Namespace) -> int:
     t = lap("score", t)
 
     seed_choice = seed_from_design(g, design)
-    problem = build_problem(g, scores, incumbent=seed_choice, mode=args.mode)
+    problem = build_problem(g, scores, incumbent=seed_choice)
     if args.dump_lp:
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(lp_text(problem))

@@ -20,7 +20,6 @@ class SelectionProblem:
     roots: list[int]
     candidates: dict[int, list[tuple[float, tuple, ENode]]]  # sorted (score, key, node)
     incumbent: dict[int, ENode] | None = None
-    mode: str = "power"
 
 
 @dataclass
@@ -41,7 +40,6 @@ def build_problem(
     scores: dict[int, dict[ENode, float]],
     roots: list[int] | None = None,
     incumbent: dict[int, ENode] | None = None,
-    mode: str = "power",
 ) -> SelectionProblem:
     """Package per-node scores into a selection problem over the graph."""
     roots = [g.find(c) for c in (roots if roots is not None else g.root_classes())]
@@ -52,7 +50,7 @@ def build_problem(
         if not ranked:
             raise EGraphError(f"class {cid} has no candidate nodes")
         candidates[cid] = ranked
-    return SelectionProblem(g, roots, candidates, incumbent, mode)
+    return SelectionProblem(g, roots, candidates, incumbent)
 
 
 def seed_from_design(g: EGraph, design: Design) -> dict[int, ENode]:
@@ -91,9 +89,17 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
     Classes are decided in ascending-id order among those currently needed;
     candidates are tried cheapest first; the bound adds each undecided needed
     class's cheapest member. Ties on the objective resolve to the selection
-    that is lexicographically smallest by (class id, node key).
+    that is lexicographically smallest by (class id, node key). The budget
+    covers the whole call, set-up included.
+
+    The search runs on an explicit stack, so its depth is not limited by
+    Python's recursion limit. One frame per decided class holds
+    [class, candidate rows, next row, cost, bound of the other undecided
+    classes, classes the current row made needed]; the undecided set and
+    the selection are updated in place and undone on backtrack.
     """
-    g = problem.g
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    find = problem.g.find
     cands = problem.candidates
     min_cost = {cid: ranked[0][0] for cid, ranked in cands.items()}
     roots = sorted(set(problem.roots))
@@ -101,24 +107,34 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
     best_choice: dict[int, ENode] | None = None
     best_cost = float("inf")
     best_key: tuple | None = None
-    stats = SolverStats()
 
     def sel_key(choice: dict[int, ENode]) -> tuple:
         return tuple(sorted((cid, node_key(n)) for cid, n in choice.items()))
 
     if problem.incumbent is not None:
-        seeded = _closure(g, problem.incumbent, roots)
+        seeded = _closure(problem.g, problem.incumbent, roots)
         best_choice = seeded
         best_cost = selection_cost(problem, seeded)
         best_key = sel_key(seeded)
 
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
-    out_of_time = False
-    choice: dict[int, ENode] = {}
-    edges: dict[int, set[int]] = {}
+    # Per class, built on its first visit: (score, node, child classes,
+    # combinational child classes). Register children are not ordering edges.
+    rows_of: dict[int, list[tuple[float, ENode, tuple[int, ...], tuple[int, ...]]]] = {}
 
-    def reaches(src: int, dst: int) -> bool:
-        stack, seen = [src], set()
+    def rows(cid: int) -> list[tuple[float, ENode, tuple[int, ...], tuple[int, ...]]]:
+        out = []
+        for score, _key, n in cands[cid]:
+            children = tuple({find(c) for c in n.children})
+            out.append((score, n, children, () if n.kind == "reg" else children))
+        rows_of[cid] = out
+        return out
+
+    choice: dict[int, ENode] = {}
+    edges: dict[int, tuple[int, ...]] = {}  # decided class -> its combinational children
+    decided = edges.keys()
+
+    def reaches(srcs: tuple[int, ...], dst: int) -> bool:
+        stack, seen = list(srcs), set()
         while stack:
             x = stack.pop()
             if x == dst:
@@ -129,49 +145,68 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
             stack.extend(edges.get(x, ()))
         return False
 
-    def dfs(undecided: set[int], cost: float) -> None:
-        nonlocal best_choice, best_cost, best_key, out_of_time
-        if out_of_time:
-            return
-        stats.explored += 1
-        if deadline is not None and stats.explored % 256 == 0 and time.monotonic() > deadline:
+    undecided = set(roots)
+    frames: list[list] = []
+    cost, lb = 0.0, sum(min_cost[c] for c in undecided)
+    explored = 0
+    out_of_time = False
+    while True:
+        # Visit the node (cost, lb): the selection in `choice`, `undecided` to go.
+        explored += 1
+        if deadline is not None and explored % 256 == 0 and time.monotonic() > deadline:
             out_of_time = True
-            return
+            break
         if not undecided:
-            key = sel_key(choice)
-            if cost < best_cost - 1e-9 or (
-                cost <= best_cost + 1e-9 and (best_key is None or key < best_key)
-            ):
-                best_choice = dict(choice)
-                best_cost = cost
-                best_key = key
-            return
-        bound = cost + sum(min_cost[c] for c in undecided)
-        if bound > best_cost + 1e-9:
-            return
-        cid = min(undecided)
-        rest = undecided - {cid}
-        for score, _key, n in cands[cid]:
-            if cost + score + sum(min_cost[c] for c in rest) > best_cost + 1e-9:
-                break  # candidates are sorted; nothing cheaper follows
-            children = {g.find(c) for c in n.children}
-            comb = children if n.kind != "reg" else set()
-            if any(reaches(d, cid) for d in comb):
-                continue
-            choice[cid] = n
-            edges[cid] = comb
-            grow = {d for d in children if d not in choice and d != cid}
-            dfs(rest | grow, cost + score)
-            del choice[cid]
-            del edges[cid]
-            if out_of_time:
-                return
-
-    dfs(set(roots), 0.0)
+            if cost <= best_cost + 1e-9:
+                key = sel_key(choice)
+                if cost < best_cost - 1e-9 or best_key is None or key < best_key:
+                    best_choice = dict(choice)
+                    best_cost = cost
+                    best_key = key
+        elif cost + lb <= best_cost + 1e-9:
+            cid = min(undecided)
+            undecided.remove(cid)
+            frames.append([cid, rows_of.get(cid) or rows(cid), 0, cost, lb - min_cost[cid], ()])
+        # Move to the next child of the deepest frame that has one left.
+        while frames:
+            frame = frames[-1]
+            cid, cand_rows, i, base, rest_lb, grown = frame
+            if i:  # undo the row tried last
+                del choice[cid]
+                del edges[cid]
+                undecided.difference_update(grown)
+            descend = False
+            while i < len(cand_rows):
+                score, n, children, comb = cand_rows[i]
+                i += 1
+                if base + score + rest_lb > best_cost + 1e-9:
+                    break  # rows are sorted; nothing cheaper follows
+                # Only a decided class has edges, so only one can lead back to cid.
+                if cid in comb or (not decided.isdisjoint(comb) and reaches(comb, cid)):
+                    continue
+                choice[cid] = n
+                edges[cid] = comb
+                lb = rest_lb
+                grown = []
+                for d in children:
+                    if d not in choice and d not in undecided:
+                        grown.append(d)
+                        lb += min_cost[d]
+                undecided.update(grown)
+                frame[2] = i
+                frame[5] = grown
+                cost = base + score
+                descend = True
+                break
+            if descend:
+                break
+            frames.pop()
+            undecided.add(cid)
+        else:
+            break  # no frame left: the search is exhausted
     if best_choice is None:
         raise EGraphError("search exhausted with no feasible selection")
-    stats.proven_optimal = not out_of_time
-    return ExtractionSolution(best_choice, best_cost, stats)
+    return ExtractionSolution(best_choice, best_cost, SolverStats(explored, not out_of_time))
 
 
 def reconstruct(g: EGraph, solution: ExtractionSolution, base: Design) -> Design:

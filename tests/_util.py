@@ -58,6 +58,19 @@ def random_design(rng: random.Random, max_nodes: int = 10, name: str = "rand") -
     return b.finish()
 
 
+def flat_adders(outputs: int, width: int = 4) -> Design:
+    """`outputs` independent adders, output y_i = (add a_i b_i): three
+    classes per output, all needed, so one selection is as deep as the
+    class count."""
+    b = DesignBuilder("flat")
+    for i in range(outputs):
+        b.add_input(f"a{i}", width)
+        b.add_input(f"b{i}", width)
+    for i in range(outputs):
+        b.add_output(f"y{i}", b.op("add", b.var(f"a{i}"), b.var(f"b{i}")))
+    return b.finish()
+
+
 def random_stimuli(rng: random.Random, design: Design, cycles: int) -> dict[str, Waveform]:
     return {
         p: Waveform(w, [rng.randrange(1 << w) for _ in range(cycles)])

@@ -1,13 +1,19 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from powersat import cli
 from powersat.equiv import Mismatch, cosimulate
-from powersat.ir import parse_design
+from powersat.ir import parse_design, print_design
 
-from _util import random_stimuli
+from _util import flat_adders, random_stimuli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FIG1 = """
 (module fig1
@@ -243,3 +249,32 @@ def test_design_member_that_reads_its_own_class_is_passed_over(tmp_path, text, p
     rc = invoke("--input", dsl, "--stimuli", cfg, "--max-iters", 1,
                 "--output", tmp_path / "opt.dsl")
     assert rc == 0
+
+
+def test_python_dash_m_runs_the_cli(fig1, tmp_path):
+    dsl, cfg = fig1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = tmp_path / "opt.dsl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "powersat", "--input", str(dsl), "--stimuli", str(cfg),
+         "--output", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "verification passed" in proc.stderr
+    assert parse_design(out.read_text()).signature() == parse_design(FIG1).signature()
+
+
+def test_selection_deeper_than_the_recursion_limit_exits_0(tmp_path, capsys):
+    d = flat_adders(700)
+    dsl = tmp_path / "flat.dsl"
+    dsl.write_text(print_design(d))
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps({"cycles": 64, "seed": 1,
+                               "inputs": {p: {"toggle_rate": 0.5} for p, _ in d.inputs}}))
+    rep = tmp_path / "report.json"
+    rc = invoke("--input", dsl, "--stimuli", cfg, "--max-iters", 1, "--time-budget", 0.2,
+                "--output", tmp_path / "opt.dsl", "--report", rep)
+    assert rc == 0, capsys.readouterr().err
+    assert json.loads(rep.read_text())["solver"]["proven_optimal"] is False

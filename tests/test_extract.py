@@ -5,7 +5,9 @@ import pytest
 
 from powersat import benchmarks, cli
 from powersat.egraph import EGraph, EGraphError, ENode
+from powersat.equiv import cosimulate
 from powersat.extract import (
+    _closure,
     build_problem,
     lp_text,
     reconstruct,
@@ -19,7 +21,7 @@ from powersat.simulate import choose_representatives, graph_activity, simulate
 from powersat.power import class_scores
 from powersat.stimulus import StimulusConfig, generate_stimuli
 
-from _util import brute_force_min, random_egraph
+from _util import brute_force_min, flat_adders, random_egraph
 
 FIG1 = """
 (module fig1
@@ -223,6 +225,32 @@ def test_time_budget_falls_back_to_incumbent():
     full = solve(problem)
     assert full.stats.proven_optimal
     assert full.objective <= sol.objective + 1e-9
+
+
+def test_selection_deeper_than_the_recursion_limit():
+    # 2,100 classes, every one needed: the search goes 2,100 frames deep
+    d = flat_adders(700)
+    g = EGraph()
+    g.add_expr(d)
+    apply_rules(g, rules_by_name(None), max_iters=1)
+    cfg = StimulusConfig.from_dict({
+        "cycles": 64, "seed": 1,
+        "inputs": {p: {"toggle_rate": 0.5} for p, _ in d.inputs},
+    })
+    stim = generate_stimuli(cfg, d)
+    rep = choose_representatives(g, origin=g.design_enodes(d))
+    scores = class_scores(g, graph_activity(simulate(g, rep, stim)))
+    incumbent = seed_from_design(g, d)
+    problem = build_problem(g, scores, incumbent=incumbent)
+    assert g.class_count() == 2100
+
+    sol = solve(problem, time_budget=0.2)
+    assert not sol.stats.proven_optimal  # commuted adders tie; the tree is 2^700 wide
+    assert sol.stats.explored > 2100
+    assert _closure(g, sol.choice, problem.roots) == sol.choice
+    assert sol.objective == pytest.approx(selection_cost(problem, sol.choice))
+    assert sol.objective <= selection_cost(problem, _closure(g, incumbent, problem.roots)) + 1e-9
+    assert cosimulate(d, reconstruct(g, sol, d), stim) is None
 
 
 def test_reconstruct_identity_round_trips():
