@@ -1,12 +1,25 @@
 """Shared test helpers: random designs, random e-graphs, brute-force extraction."""
 
+import os
 import random
+from pathlib import Path
 
 from powersat.egraph import EGraph, ENode
 from powersat.ir import Design, DesignBuilder
 from powersat.stimulus import Waveform
 
 WIDTHS = (1, 2, 3, 4, 8)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict[str, str]:
+    """The environment with the package sources first on PYTHONPATH, for
+    subprocesses that import powersat."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 _EQUAL_BIN = ("add", "sub", "and", "or", "xor")
 

@@ -1,9 +1,7 @@
 import json
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -11,9 +9,7 @@ from powersat import cli
 from powersat.equiv import Mismatch, cosimulate
 from powersat.ir import parse_design, print_design
 
-from _util import flat_adders, random_stimuli
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from _util import flat_adders, random_stimuli, src_env
 
 FIG1 = """
 (module fig1
@@ -253,14 +249,11 @@ def test_design_member_that_reads_its_own_class_is_passed_over(tmp_path, text, p
 
 def test_python_dash_m_runs_the_cli(fig1, tmp_path):
     dsl, cfg = fig1
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     out = tmp_path / "opt.dsl"
     proc = subprocess.run(
         [sys.executable, "-m", "powersat", "--input", str(dsl), "--stimuli", str(cfg),
          "--output", str(out)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "verification passed" in proc.stderr
     assert parse_design(out.read_text()).signature() == parse_design(FIG1).signature()

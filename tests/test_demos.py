@@ -1,21 +1,17 @@
 """Every demo script runs to completion against the package sources."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from _util import SRC, src_env
+
+DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
