@@ -22,10 +22,17 @@ def src_env() -> dict[str, str]:
     return env
 
 _EQUAL_BIN = ("add", "sub", "and", "or", "xor")
+# Draw weights of `random_design`: biased toward register-bearing graphs.
+REGISTER_KINDS = ("add", "sub", "and", "or", "xor", "not", "mux", "shl", "shr",
+                  "reg", "reg", "treg", "treg", "reg")
+# Every operator the netlist format has, once each.
+EVERY_KIND = ("add", "sub", "and", "or", "xor", "not", "mux", "shl", "shr",
+              "mul", "add3", "rep", "reg", "treg")
 
 
-def random_design(rng: random.Random, max_nodes: int = 10, name: str = "rand") -> Design:
-    """A small valid design biased toward register-bearing graphs."""
+def random_design(rng: random.Random, max_nodes: int = 10, name: str = "rand",
+                  kinds: tuple[str, ...] = REGISTER_KINDS) -> Design:
+    """A small valid design with operators drawn from `kinds`."""
     b = DesignBuilder(name)
     pool: dict[int, list[int]] = {}
 
@@ -47,14 +54,22 @@ def random_design(rng: random.Random, max_nodes: int = 10, name: str = "rand") -
     w = rng.choice(WIDTHS)
     new_leaf(w)
     budget = rng.randint(3, max_nodes)
-    kinds = ["add", "sub", "and", "or", "xor", "not", "mux", "shl", "shr",
-             "reg", "reg", "treg", "treg", "reg"]
     attempts = 0
     while len(b.nodes) < budget and attempts < 100:  # interning may dedup draws
         attempts += 1
         kind = rng.choice(kinds)
         if kind in _EQUAL_BIN:
             idx = b.op(kind, pick(w), pick(w))
+        elif kind == "add3":
+            idx = b.op("add3", pick(w), pick(w), pick(w))
+        elif kind == "mul":  # the operand widths split the word
+            if w < 2:
+                continue
+            lo = rng.randint(1, w - 1)
+            idx = b.op("mul", pick(lo), pick(w - lo))
+        elif kind == "rep":
+            part = rng.choice([k for k in range(1, w + 1) if w % k == 0])
+            idx = b.op("rep", pick(part), count=w // part)
         elif kind == "not":
             idx = b.op("not", pick(w))
         elif kind == "mux":

@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from powersat import benchmarks
 from powersat.equiv import (
     EquivError,
     Mismatch,
@@ -11,11 +13,11 @@ from powersat.equiv import (
     fuzz_rule,
     simulate_design,
 )
-from powersat.ir import parse_design
+from powersat.ir import parse_design, print_design
 from powersat.rewrite import PConst, PNode, PRep, PVar, Rewrite, rules_by_name
-from powersat.stimulus import Waveform
+from powersat.stimulus import Waveform, generate_stimuli
 
-from _util import random_design, random_stimuli
+from _util import EVERY_KIND, random_design, random_stimuli
 
 REG = "(module r (input a 4) (input en 1) (output q (reg a en)))"
 TREG = "(module r (input a 4) (input en 1) (output q (treg a en)))"
@@ -35,6 +37,59 @@ def test_transparent_register_stream():
     d = parse_design(TREG)
     outs, _ = simulate_design(d, {"a": wave(4, [3, 5, 7]), "en": wave(1, [0, 1, 0])})
     assert outs["q"].values == [0, 5, 5]
+
+
+def test_register_is_zero_at_cycle_zero_and_holds_while_disabled():
+    d = parse_design(REG)
+    outs, _ = simulate_design(d, {"a": wave(4, [9, 5, 7, 2, 4, 6]),
+                                  "en": wave(1, [1, 0, 0, 1, 1, 0])})
+    assert outs["q"].values == [0, 9, 9, 9, 2, 4]
+    outs, _ = simulate_design(d, {"a": wave(4, [3, 4, 5]), "en": wave(1, [0, 0, 0])})
+    assert outs["q"].values == [0, 0, 0]
+
+
+def test_transparent_register_follows_its_input_while_enabled():
+    d = parse_design(TREG)
+    outs, _ = simulate_design(d, {"a": wave(4, [9, 5, 7, 2, 4, 6]),
+                                  "en": wave(1, [0, 1, 1, 0, 0, 1])})
+    assert outs["q"].values == [0, 5, 7, 7, 7, 6]
+    outs, _ = simulate_design(d, {"a": wave(4, [3, 4, 5]), "en": wave(1, [1, 1, 1])})
+    assert outs["q"].values == [3, 4, 5]
+
+
+# sha256 of the oracle's per-node waveforms on every corpus cell's stimulus,
+# computed with the cycle-by-cycle interpreter; a faster oracle keeps them.
+ORACLE_PINS = {
+    "comb_mux_add_tree/cfg1": "067a6c6e18cf1146e62faa54403fedefc96518414b658b84fd03286ad9a88dea",
+    "comb_mux_add_tree/cfg2": "067a6c6e18cf1146e62faa54403fedefc96518414b658b84fd03286ad9a88dea",
+    "comb_mux_add_tree/cfg3": "70fde67439dd082e997d49a6f5d15113452afd7d0086fde78bafdb430c3798e5",
+    "comb_mux_add_tree/cfg4": "70fde67439dd082e997d49a6f5d15113452afd7d0086fde78bafdb430c3798e5",
+    "dual_op_alu/cfg1": "d7829f8182369bf1ec1ddf6ac25f7b4340d8c393db872cf3767a5e3fc27e03f1",
+    "dual_op_alu/cfg2": "d7829f8182369bf1ec1ddf6ac25f7b4340d8c393db872cf3767a5e3fc27e03f1",
+    "dual_op_alu/cfg3": "a17faba344cdaa53874f3f4126313e85cfbd78c6f7b422419414ba3722e9686d",
+    "dual_op_alu/cfg4": "a17faba344cdaa53874f3f4126313e85cfbd78c6f7b422419414ba3722e9686d",
+    "fig1_op_isolate/cfg1": "4a42dad13d94b52cb1b129ee3f0d450c10bc02f01e5c1eb693eb1595ae3dde8c",
+    "fig1_op_isolate/cfg2": "4a42dad13d94b52cb1b129ee3f0d450c10bc02f01e5c1eb693eb1595ae3dde8c",
+    "fig1_op_isolate/cfg3": "30ba781a2151e57426f8371610443f1a025b6887117e565f64a1b99ff4edfee0",
+    "fig1_op_isolate/cfg4": "30ba781a2151e57426f8371610443f1a025b6887117e565f64a1b99ff4edfee0",
+    "pipe_mux_add_tree/cfg1": "80ea02be68c1df2be47765034d675aa20b24079bf02d65f21ea15c249c1865f6",
+    "pipe_mux_add_tree/cfg2": "cbf8342fad6f3aebed77b07289eb79406282af09c46e1b34fb04e95288eea39e",
+    "pipe_mux_add_tree/cfg3": "72a4a5b7d7f826fa195f60d4ae8dd3f9098fbca3349cbb13060891cb2b55cb1f",
+    "pipe_mux_add_tree/cfg4": "14766e19b36ade48271492528cd05f19f4e56e0668ad320024f4db1430a581bc",
+    "seq_reg/cfg1": "49c45afd649c535de85052a0edb4053da8f0db5689dd026c81d074e50e16cc5d",
+    "seq_reg/cfg2": "6d6294fa30ef368f72629cb7e9ff6a263812f025badba4822e0f7a9f123af19b",
+    "seq_reg/cfg3": "6d6294fa30ef368f72629cb7e9ff6a263812f025badba4822e0f7a9f123af19b",
+    "seq_reg/cfg4": "49c45afd649c535de85052a0edb4053da8f0db5689dd026c81d074e50e16cc5d",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(ORACLE_PINS))
+def test_oracle_waveforms_are_pinned(cell):
+    name, cfg = cell.split("/")
+    d = benchmarks.design(name)
+    _, values = simulate_design(d, generate_stimuli(benchmarks.stimuli_config(name, cfg), d))
+    text = "\n".join(" ".join(map(str, v)) for v in values)
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_PINS[cell]
 
 
 def test_cosimulate_design_with_itself():
@@ -76,6 +131,37 @@ def test_mismatch_reports_earliest_cycle():
     )
     assert mm is not None and mm.cycle == 1
     assert (mm.expected, mm.actual) == (0, 5)
+
+
+def test_mismatch_is_the_earliest_cycle_then_the_first_port():
+    d1 = parse_design("(module m (input a 4) (input b 4)"
+                      " (output x (and a b)) (output y (xor a b)))")
+    d2 = parse_design("(module m (input a 4) (input b 4)"
+                      " (output x (or a b)) (output y (or a b)))")
+    mm = cosimulate(d1, d2, {"a": wave(4, [0, 2, 1]), "b": wave(4, [0, 2, 3])})
+    assert (mm.cycle, mm.port, mm.expected, mm.actual) == (1, "y", 0, 2)
+    mm = cosimulate(d1, d2, {"a": wave(4, [0, 1, 2]), "b": wave(4, [0, 3, 2])})
+    assert (mm.cycle, mm.port, mm.expected, mm.actual) == (1, "x", 1, 3)
+
+
+# Earliest mismatch between a random design and a one-operator mutant, as the
+# cycle-by-cycle interpreter found it (None: equal on that stimulus).
+MUTANT_PINS = [
+    (0, (0, "y3", 0, 7)), (1, (0, "y3", 4, 1)), (3, (2, "y1", 1, 0)),
+    (4, (1, "y1", 0, 1)), (5, (0, "y4", 0, 8)), (6, None), (7, (0, "y0", 14, 0)),
+    (8, None), (10, None), (11, None),
+]
+_SWAPS = (("(and ", "(or "), ("(xor ", "(and "), ("(shl ", "(shr "), ("(treg ", "(reg "))
+
+
+@pytest.mark.parametrize("seed,expected", MUTANT_PINS)
+def test_mutant_mismatch_is_pinned(seed, expected):
+    rng = random.Random(f"mismatch/{seed}")
+    d = random_design(rng, max_nodes=16, kinds=EVERY_KIND)
+    text = print_design(d)
+    old, new = next((o, n) for o, n in _SWAPS if o in text)
+    mm = cosimulate(d, parse_design(text.replace(old, new, 1)), random_stimuli(rng, d, 64))
+    assert (None if mm is None else (mm.cycle, mm.port, mm.expected, mm.actual)) == expected
 
 
 def test_signature_mismatch_rejected():

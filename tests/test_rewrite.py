@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from powersat.egraph import EGraph, ENode
+from powersat import benchmarks
+from powersat.egraph import COUNT_CAP, EGraph, ENode
 from powersat.ir import parse_design
 from powersat.rewrite import (
     PNode,
@@ -15,6 +17,8 @@ from powersat.rewrite import (
     sample_rule_instance,
     _n,
 )
+
+from _util import EVERY_KIND, random_design
 
 FIG1 = """
 (module fig1
@@ -220,3 +224,56 @@ def test_sample_rule_instance_produces_valid_designs():
         assert lhs.signature() == rhs.signature()
         lhs.validate()
         rhs.validate()
+
+
+# Saturation pins: sha256 of `g.dump()`, (classes, nodes, designs) after each
+# iteration, and the stop reason, under the whole library. The values come
+# from the e-graph before its hot paths were tuned (frozen-dataclass e-nodes,
+# uncapped design counts); any change that keeps the e-graph keeps them. The
+# dump orders classes by id and members by node key, so it does not depend
+# on PYTHONHASHSEED.
+CAP = COUNT_CAP
+CORPUS_SATURATION = [
+    ("comb_mux_add_tree", 3, "8b2603b6a104f3ff438bad03cc099b1cffd4614627abbbda3f21e18acd5160cb",
+     [(43, 61, 1331), (115, 231, 3161912), (526, 1383, 284314268722)], "iteration-limit"),
+    ("dual_op_alu", 8, "27b7452fd8fb973f3a4be5a67d29014e925e099e6f281cebd465a309d57de976",
+     [(14, 19, 10), (29, 55, 196), (57, 148, 17002), (39, 148, CAP), (33, 165, CAP), (39, 183, CAP), (49, 218, CAP), (40, 213, CAP)], "iteration-limit"),
+    ("fig1_op_isolate", 8, "34461d7cc9720ed819d76f1e7b72ef38ea3a59a017b3370e3d143f281bc47384",
+     [(13, 17, 5), (24, 45, 66), (46, 122, 3013), (30, 114, CAP), (26, 125, CAP), (29, 133, CAP), (35, 151, CAP), (33, 157, CAP)], "iteration-limit"),
+    ("pipe_mux_add_tree", 3, "7ca9bb826b9c0cd3ffe00b9356e7ba4ddf228a03ba55a7776200bb0b2d05dac6",
+     [(43, 60, 4400), (113, 225, 28016184), (435, 1160, CAP)], "iteration-limit"),
+    ("seq_reg", 8, "425ff903014747d63ed974db194420f0c642252bcbbf132bce0e78d5a73bb011",
+     [(9, 12, 5), (13, 23, 19), (21, 45, 84), (20, 41, CAP), (19, 46, CAP), (14, 42, CAP), (15, 46, CAP), (15, 47, CAP)], "iteration-limit"),
+]
+# Random designs of every operator kind, at 2 iterations.
+MIXED_SATURATION = [
+    (0, "bea8490d50f12396b81d68922b1a488c427756c78096c8b901c6a89c4697e586",
+     [(28, 36, CAP), (43, 75, CAP)], "iteration-limit"),
+    (1, "8ed89b3f70b01d4429d2a55516d009b4bb572d04e63682c158c4d0363c7597b8",
+     [(16, 19, 48), (13, 16, CAP)], "iteration-limit"),
+    (2, "d131441e3c15b3b20a2cee216dd7b53eeb614720cec40379769142b9b7dd60be",
+     [(2, 3, CAP), (2, 3, CAP)], "saturated"),
+    (3, "6c3817d3f50688df8d7f19f5b9d2542f738afb2eea35094778dd5545bbf19c0b",
+     [(38, 55, CAP), (97, 191, CAP)], "iteration-limit"),
+    (4, "4bce20a7ab7fd46f6c6c9dd836e93b9522ffa281da9dad6705f1727dcbfc6ba6",
+     [(19, 27, CAP), (23, 42, CAP)], "iteration-limit"),
+]
+
+
+def saturation_fingerprint(design, iters):
+    g = EGraph()
+    g.add_expr(design)
+    report = apply_rules(g, rule_library(), max_iters=iters)
+    steps = [(s.classes, s.nodes, s.designs) for s in report.iterations]
+    return hashlib.sha256(g.dump().encode()).hexdigest(), steps, report.stop_reason
+
+
+@pytest.mark.parametrize("name,iters,digest,steps,stop", CORPUS_SATURATION)
+def test_corpus_saturation_is_pinned(name, iters, digest, steps, stop):
+    assert saturation_fingerprint(benchmarks.design(name), iters) == (digest, steps, stop)
+
+
+@pytest.mark.parametrize("draw,digest,steps,stop", MIXED_SATURATION)
+def test_mixed_saturation_is_pinned(draw, digest, steps, stop):
+    d = random_design(random.Random(f"mixed/{draw}"), max_nodes=24, kinds=EVERY_KIND)
+    assert saturation_fingerprint(d, 2) == (digest, steps, stop)
