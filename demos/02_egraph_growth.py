@@ -29,4 +29,4 @@ sel_cls = next(c for c in g.class_ids()
 print(f"\nthe select bit's class now holds {len(g.nodes_of(sel_cls))} "
       f"equivalent forms, e.g.")
 for n in g.nodes_of(sel_cls)[:4]:
-    print("  ", g._render(n))
+    print("  ", g.render(n))

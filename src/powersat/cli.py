@@ -63,10 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _render(g: EGraph, n) -> str:
-    return g._render(n)
-
-
 def run(args: argparse.Namespace) -> int:
     clock: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -132,7 +128,7 @@ def run(args: argparse.Namespace) -> int:
                            counterexample=replay.to_dict())
 
     selection = [
-        {"class": cid, "width": g.class_width(cid), "node": _render(g, n),
+        {"class": cid, "width": g.class_width(cid), "node": g.render(n),
          "provenance": g.provenance(n)}
         for cid, n in sorted(solution.choice.items())
     ]

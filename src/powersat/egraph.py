@@ -1,6 +1,7 @@
 """E-graph over netlist operators: union-find, hashconsing, and congruence rebuilding."""
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ir import Design
 
@@ -12,9 +13,12 @@ class EGraphError(Exception):
     """Internal invariant violation; indicates a bug, not bad user input."""
 
 
-@dataclass(frozen=True)
-class ENode:
-    """An operator whose children are e-class ids."""
+class ENode(NamedTuple):
+    """An operator whose children are e-class ids.
+
+    A tuple, so construction, hashing and equality run in C: rewriting
+    spends most of its time building and looking up e-nodes.
+    """
 
     kind: str
     children: tuple[int, ...] = ()
@@ -68,13 +72,17 @@ class EGraph:
         self.version = 0
         self._sorted_cache: dict[int, list[ENode]] = {}
         self._cache_version = -1
-        # Which rewrite introduced each node ("design" for seeded nodes).
-        self.made_by: dict[tuple, str] = {}
+        # (creation index, rule) of the rewrite that introduced each node,
+        # "design" for seeded nodes. A node re-canonicalized from older ones
+        # keeps the tag of the earliest, so tags never follow set order.
+        self.made_by: dict[ENode, tuple[int, str]] = {}
         self.origin_tag = "design"
 
     # -- union-find --------------------------------------------------------
 
     def find(self, c: int) -> int:
+        if self._uf[c] == c:
+            return c
         root = c
         while self._uf[root] != root:
             root = self._uf[root]
@@ -91,13 +99,15 @@ class EGraph:
     # -- construction ------------------------------------------------------
 
     def canonicalize(self, n: ENode) -> ENode:
-        ch = tuple(self.find(c) for c in n.children)
+        ch = tuple(map(self.find, n.children))
         if ch == n.children:
             return n
         out = ENode(n.kind, ch, n.width, n.port, n.value, n.count)
-        tag = self.made_by.get(node_key(n))
+        tag = self.made_by.get(n)
         if tag is not None:
-            self.made_by.setdefault(node_key(out), tag)
+            prev = self.made_by.get(out)
+            if prev is None or tag < prev:
+                self.made_by[out] = tag
         return out
 
     def add(self, n: ENode) -> int:
@@ -107,7 +117,7 @@ class EGraph:
             return self.find(hit)
         cid = self._fresh(n.width)
         self._classes[cid].nodes.add(n)
-        self.made_by.setdefault(node_key(n), self.origin_tag)
+        self.made_by.setdefault(n, (self.version, self.origin_tag))
         for c in set(n.children):
             self._classes[c].parents.append((n, cid))
         self._hashcons[n] = cid
@@ -248,7 +258,8 @@ class EGraph:
 
     def provenance(self, n: ENode) -> str:
         """Name of the rewrite that first introduced this node."""
-        return self.made_by.get(node_key(n), "design")
+        tag = self.made_by.get(n)
+        return "design" if tag is None else tag[1]
 
     def check_invariants(self) -> None:
         """Hashcons injectivity and child canonicality; for tests and debugging."""
@@ -292,8 +303,19 @@ class EGraph:
         COUNT_CAP. Classes only reachable through themselves stay at zero.
         A class still growing once every acyclic dependency chain has had
         time to settle is fed by a productive cycle, so its limit is the cap.
+        Counts only grow, so the fixpoint stops once the roots reach the cap.
         """
+        if roots is None:
+            roots = self.root_classes()
+        roots = sorted(set(self.find(c) for c in roots))
         counts = {cid: 0 for cid in self._classes}
+
+        def product() -> int:
+            result = 1
+            for cid in roots:
+                result = min(result * counts[cid], COUNT_CAP)
+            return result
+
         limit = len(self._classes) + 1
         while True:
             changed: list[int] = []
@@ -301,18 +323,15 @@ class EGraph:
                 changed = self._count_pass(counts)
                 if not changed:
                     break
+                if product() == COUNT_CAP:
+                    return COUNT_CAP
             if not changed:
-                break
+                return product()
             for cid in changed:
                 counts[cid] = COUNT_CAP
-        if roots is None:
-            roots = self.root_classes()
-        result = 1
-        for cid in sorted(set(self.find(c) for c in roots)):
-            result = min(result * counts[cid], COUNT_CAP)
-        return result
 
-    def _render(self, n: ENode) -> str:
+    def render(self, n: ENode) -> str:
+        """One e-node as text: `var:a`, `const:4'd3`, `rep8(c2)`, `add(c0,c1)`."""
         if n.kind == "var":
             return f"var:{n.port}"
         if n.kind == "const":
@@ -325,7 +344,7 @@ class EGraph:
         lines = []
         for cid in self.class_ids():
             cls = self._classes[cid]
-            rendered = " ".join(self._render(n) for n in self.nodes_of(cid))
+            rendered = " ".join(self.render(n) for n in self.nodes_of(cid))
             lines.append(f"c{cid} w{cls.width}: {rendered}")
         return "\n".join(lines) + "\n"
 

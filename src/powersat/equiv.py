@@ -42,68 +42,68 @@ class Mismatch:
 def simulate_design(
     d: Design, stimuli: dict[str, Waveform], cycles: int | None = None
 ) -> tuple[dict[str, Waveform], list[list[int]]]:
-    """Outputs and per-node waveforms of one design under explicit stimuli."""
+    """Outputs and per-node waveforms of one design under explicit stimuli.
+
+    Children precede their node, so each node's whole waveform is computed
+    from its children's in one pass; only registers step through the cycles.
+    """
     if cycles is None:
         cycles = min(stimuli[p].cycles for p, _ in d.inputs) if d.inputs else 0
-    values: list[list[int]] = [[0] * cycles for _ in d.nodes]
-    for idx, n in enumerate(d.nodes):
-        if n.kind == "var":
+    values: list[list[int]] = []
+    for n in d.nodes:
+        k = n.kind
+        ch = [values[c] for c in n.children]
+        mask = (1 << n.width) - 1
+        if k == "var":
             src = stimuli[n.port]
             if src.width != n.width:
                 raise EquivError(f"stimulus for {n.port!r} is {src.width} bits, want {n.width}")
-            values[idx] = list(src.values[:cycles])
-    mask_of = [(1 << n.width) - 1 for n in d.nodes]
-    for i in range(cycles):
-        for idx, n in enumerate(d.nodes):
-            k = n.kind
-            if k == "var":
-                continue
-            if k == "const":
-                values[idx][i] = n.value
-                continue
-            ch = n.children
-            if k == "reg":
-                if i == 0:
-                    v = 0
-                elif values[ch[1]][i - 1]:
-                    v = values[ch[0]][i - 1]
-                else:
-                    v = values[idx][i - 1]
-            elif k == "treg":
-                if values[ch[1]][i]:
-                    v = values[ch[0]][i]
-                else:
-                    v = values[idx][i - 1] if i > 0 else 0
-            elif k == "mux":
-                v = values[ch[1]][i] if values[ch[0]][i] else values[ch[2]][i]
-            elif k == "add":
-                v = (values[ch[0]][i] + values[ch[1]][i]) & mask_of[idx]
-            elif k == "add3":
-                v = (values[ch[0]][i] + values[ch[1]][i] + values[ch[2]][i]) & mask_of[idx]
-            elif k == "sub":
-                v = (values[ch[0]][i] - values[ch[1]][i]) & mask_of[idx]
-            elif k == "mul":
-                v = values[ch[0]][i] * values[ch[1]][i]
-            elif k == "and":
-                v = values[ch[0]][i] & values[ch[1]][i]
-            elif k == "or":
-                v = values[ch[0]][i] | values[ch[1]][i]
-            elif k == "xor":
-                v = values[ch[0]][i] ^ values[ch[1]][i]
-            elif k == "not":
-                v = values[ch[0]][i] ^ mask_of[idx]
-            elif k == "shl":
-                sh = values[ch[1]][i]
-                v = (values[ch[0]][i] << sh) & mask_of[idx] if sh < n.width else 0
-            elif k == "shr":
-                sh = values[ch[1]][i]
-                v = values[ch[0]][i] >> sh if sh < n.width else 0
-            elif k == "rep":
-                base, w = values[ch[0]][i], n.width // n.count
-                v = sum(base << (j * w) for j in range(n.count))
-            else:
-                raise EquivError(f"cannot simulate {k!r}")
-            values[idx][i] = v
+            v = list(src.values[:cycles])
+        elif k == "const":
+            v = [n.value] * cycles
+        elif k == "reg":  # 0 at cycle 0, then the data of the last enabled cycle
+            v = [0] * cycles
+            q = 0
+            for i in range(1, cycles):
+                if ch[1][i - 1]:
+                    q = ch[0][i - 1]
+                v[i] = q
+        elif k == "treg":  # transparent while enabled, else holds (0 at first)
+            v = [0] * cycles
+            q = 0
+            for i in range(cycles):
+                if ch[1][i]:
+                    q = ch[0][i]
+                v[i] = q
+        elif k == "mux":
+            v = [x if s else y for s, x, y in zip(*ch)]
+        elif k == "add":
+            v = [(x + y) & mask for x, y in zip(*ch)]
+        elif k == "add3":
+            v = [(x + y + z) & mask for x, y, z in zip(*ch)]
+        elif k == "sub":
+            v = [(x - y) & mask for x, y in zip(*ch)]
+        elif k == "mul":
+            v = [x * y for x, y in zip(*ch)]
+        elif k == "and":
+            v = [x & y for x, y in zip(*ch)]
+        elif k == "or":
+            v = [x | y for x, y in zip(*ch)]
+        elif k == "xor":
+            v = [x ^ y for x, y in zip(*ch)]
+        elif k == "not":
+            v = [x ^ mask for x in ch[0]]
+        elif k == "shl":
+            v = [(x << sh) & mask if sh < n.width else 0 for x, sh in zip(*ch)]
+        elif k == "shr":
+            v = [x >> sh if sh < n.width else 0 for x, sh in zip(*ch)]
+        elif k == "rep":  # the operand times 1 + 2^w + 2^2w + ... tiles it
+            w = n.width // n.count
+            tile = sum(1 << (j * w) for j in range(n.count))
+            v = [x * tile for x in ch[0]]
+        else:
+            raise EquivError(f"cannot simulate {k!r}")
+        values.append(v)
     outputs = {p: Waveform(d.nodes[idx].width, values[idx]) for p, idx in d.outputs}
     return outputs, values
 
@@ -116,6 +116,8 @@ def cosimulate(d1: Design, d2: Design, stimuli: dict[str, Waveform]) -> Mismatch
         )
     out1, _ = simulate_design(d1, stimuli)
     out2, _ = simulate_design(d2, stimuli)
+    if all(out1[port].values == out2[port].values for port, _ in d1.outputs):
+        return None
     cycles = min(w.cycles for w in stimuli.values())
     for i in range(cycles):
         for port, _ in d1.outputs:

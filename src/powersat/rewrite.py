@@ -8,7 +8,7 @@ import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
-from .egraph import EGraph, EGraphError, ENode
+from .egraph import COUNT_CAP, EGraph, EGraphError, ENode
 from .ir import Design, DesignBuilder, WidthError, infer_width
 
 Subst = dict[str, "int | str"]
@@ -166,8 +166,8 @@ def instantiate(g: EGraph, pat: Pattern, subst: Subst) -> int:
         return g.add(ENode("rep", (child,), width, count=count))
     if isinstance(pat, PNode):
         kind = subst[pat.kind_var] if pat.kind_var is not None else pat.kinds[0]
-        children = tuple(instantiate(g, c, subst) for c in pat.children)
-        widths = tuple(g.class_width(c) for c in children)
+        children = tuple([instantiate(g, c, subst) for c in pat.children])
+        widths = tuple(map(g.class_width, children))
         try:
             width = infer_width(kind, widths)
         except WidthError as e:
@@ -371,15 +371,16 @@ def apply_rules(
     rules: list[Rewrite],
     max_iters: int = 8,
     max_nodes: int = 50_000,
-    with_design_counts: bool = True,
 ) -> RunReport:
     """Run every rule each iteration until saturation or a limit.
 
     Matches are collected against the frozen graph, then instantiated and
-    merged as a batch, then congruence is rebuilt once per iteration.
+    merged as a batch, then congruence is rebuilt once per iteration. The
+    graph only gains designs, so once the count reaches the cap it stays.
     """
     g.rebuild()
     report = RunReport()
+    designs = 0
     for it in range(1, max_iters + 1):
         before = g.version
         matches: list[tuple[Rewrite, int, Subst]] = []
@@ -398,11 +399,11 @@ def apply_rules(
                 raise EGraphError(f"rule {rule.name} changed width on class {lhs_cid}")
             g.merge(lhs_cid, new_cid)
         g.rebuild()
-        report.iterations.append(IterationStats(
-            it, g.class_count(), g.enode_count(),
-            g.count_designs() if with_design_counts else 0,
-        ))
-        if g.enode_count() > max_nodes:
+        if designs != COUNT_CAP:
+            designs = g.count_designs()
+        nodes = g.enode_count()
+        report.iterations.append(IterationStats(it, g.class_count(), nodes, designs))
+        if nodes > max_nodes:
             report.stop_reason = "node-limit"
             break
         if g.version == before:

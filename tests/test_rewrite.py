@@ -1,5 +1,7 @@
 import hashlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -18,7 +20,7 @@ from powersat.rewrite import (
     _n,
 )
 
-from _util import EVERY_KIND, random_design
+from _util import EVERY_KIND, random_design, src_env
 
 FIG1 = """
 (module fig1
@@ -197,7 +199,7 @@ def test_rule_order_does_not_change_equalities():
         g = EGraph()
         d = parse_design(FIG1)
         g.add_expr(d)
-        apply_rules(g, rules, max_iters=3, with_design_counts=False)
+        apply_rules(g, rules, max_iters=3)
         classes = g.design_classes(d)
         groups = {}
         for idx, cid in enumerate(classes):
@@ -214,6 +216,40 @@ def test_provenance_tags_new_nodes():
     apply_rules(g, rules_by_name(["gate-right"]), max_iters=1)
     tags = {g.provenance(n) for cid in g.class_ids() for n in g.nodes_of(cid)}
     assert "gate-right" in tags and "design" in tags
+
+
+def test_provenance_tells_constants_of_different_widths_apart():
+    # the rule builds an 8-bit zero; the design's own zero is 1 bit wide
+    g, _, _ = seeded("(module m (input a 8) (output y (and a (rep8 (const 1 0)))))")
+    apply_rules(g, rules_by_name(["and-mask-annihilate"]), max_iters=1)
+    assert g.provenance(ENode("const", (), 8, value=0)) == "and-mask-annihilate"
+    assert g.provenance(ENode("const", (), 1, value=0)) == "design"
+
+
+PROVENANCE_SCRIPT = """
+from powersat import EGraph, apply_rules, benchmarks, rule_library
+for name in ("dual_op_alu", "fig1_op_isolate", "seq_reg"):
+    g = EGraph()
+    g.add_expr(benchmarks.design(name))
+    apply_rules(g, rule_library(), max_iters=8)
+    for cid in g.class_ids():
+        for n in g.nodes_of(cid):
+            print(name, cid, g.render(n), g.provenance(n))
+"""
+
+
+def test_provenance_does_not_depend_on_the_hash_seed():
+    # set iteration order follows PYTHONHASHSEED; a node rebuilt from several
+    # stale ones must still get the same tag
+    runs = []
+    for seed in ("1", "2"):
+        env = {**src_env(), "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", PROVENANCE_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
+    assert runs[0].count("\n") > 400
 
 
 def test_sample_rule_instance_produces_valid_designs():
