@@ -6,6 +6,7 @@ e-graph simulator, so it can serve as an oracle for the optimization path.
 """
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -39,6 +40,11 @@ class Mismatch:
                 f"expected {self.expected}, got {self.actual}")
 
 
+# Operators whose result always fits the node's width, so it needs no mask.
+_UNMASKED = {"and": operator.and_, "or": operator.or_, "xor": operator.xor,
+             "mul": operator.mul}
+
+
 def simulate_design(
     d: Design, stimuli: dict[str, Waveform], cycles: int | None = None
 ) -> tuple[dict[str, Waveform], list[list[int]]]:
@@ -61,20 +67,14 @@ def simulate_design(
             v = list(src.values[:cycles])
         elif k == "const":
             v = [n.value] * cycles
-        elif k == "reg":  # 0 at cycle 0, then the data of the last enabled cycle
-            v = [0] * cycles
-            q = 0
-            for i in range(1, cycles):
-                if ch[1][i - 1]:
-                    q = ch[0][i - 1]
-                v[i] = q
-        elif k == "treg":  # transparent while enabled, else holds (0 at first)
-            v = [0] * cycles
-            q = 0
-            for i in range(cycles):
-                if ch[1][i]:
-                    q = ch[0][i]
-                v[i] = q
+        elif k in ("reg", "treg"):  # a treg passes its data while enabled, else holds
+            v, q = [], 0
+            for x, en in zip(*ch):
+                if en:
+                    q = x
+                v.append(q)
+            if k == "reg":  # shows what a treg showed the cycle before, 0 at first
+                v = ([0] + v)[:-1]
         elif k == "mux":
             v = [x if s else y for s, x, y in zip(*ch)]
         elif k == "add":
@@ -83,14 +83,8 @@ def simulate_design(
             v = [(x + y + z) & mask for x, y, z in zip(*ch)]
         elif k == "sub":
             v = [(x - y) & mask for x, y in zip(*ch)]
-        elif k == "mul":
-            v = [x * y for x, y in zip(*ch)]
-        elif k == "and":
-            v = [x & y for x, y in zip(*ch)]
-        elif k == "or":
-            v = [x | y for x, y in zip(*ch)]
-        elif k == "xor":
-            v = [x ^ y for x, y in zip(*ch)]
+        elif k in _UNMASKED:
+            v = list(map(_UNMASKED[k], *ch))
         elif k == "not":
             v = [x ^ mask for x in ch[0]]
         elif k == "shl":

@@ -27,34 +27,23 @@ def wave(width, values):
     return Waveform(width, list(values))
 
 
+def register_output(text, a, en):
+    outs, _ = simulate_design(parse_design(text), {"a": wave(4, a), "en": wave(1, en)})
+    return outs["q"].values
+
+
 def test_register_stream():
-    d = parse_design(REG)
-    outs, _ = simulate_design(d, {"a": wave(4, [3, 5, 7]), "en": wave(1, [1, 0, 1])})
-    assert outs["q"].values == [0, 3, 3]
+    # 0 at cycle 0, then the data of the last cycle the enable was high
+    assert register_output(REG, [3, 5, 7], [1, 0, 1]) == [0, 3, 3]
+    assert register_output(REG, [9, 5, 7, 2, 4, 6], [1, 0, 0, 1, 1, 0]) == [0, 9, 9, 9, 2, 4]
+    assert register_output(REG, [3, 4, 5], [0, 0, 0]) == [0, 0, 0]
 
 
 def test_transparent_register_stream():
-    d = parse_design(TREG)
-    outs, _ = simulate_design(d, {"a": wave(4, [3, 5, 7]), "en": wave(1, [0, 1, 0])})
-    assert outs["q"].values == [0, 5, 5]
-
-
-def test_register_is_zero_at_cycle_zero_and_holds_while_disabled():
-    d = parse_design(REG)
-    outs, _ = simulate_design(d, {"a": wave(4, [9, 5, 7, 2, 4, 6]),
-                                  "en": wave(1, [1, 0, 0, 1, 1, 0])})
-    assert outs["q"].values == [0, 9, 9, 9, 2, 4]
-    outs, _ = simulate_design(d, {"a": wave(4, [3, 4, 5]), "en": wave(1, [0, 0, 0])})
-    assert outs["q"].values == [0, 0, 0]
-
-
-def test_transparent_register_follows_its_input_while_enabled():
-    d = parse_design(TREG)
-    outs, _ = simulate_design(d, {"a": wave(4, [9, 5, 7, 2, 4, 6]),
-                                  "en": wave(1, [0, 1, 1, 0, 0, 1])})
-    assert outs["q"].values == [0, 5, 7, 7, 7, 6]
-    outs, _ = simulate_design(d, {"a": wave(4, [3, 4, 5]), "en": wave(1, [1, 1, 1])})
-    assert outs["q"].values == [3, 4, 5]
+    # transparent while the enable is high, holds while low, 0 before capture
+    assert register_output(TREG, [3, 5, 7], [0, 1, 0]) == [0, 5, 5]
+    assert register_output(TREG, [9, 5, 7, 2, 4, 6], [0, 1, 1, 0, 0, 1]) == [0, 5, 7, 7, 7, 6]
+    assert register_output(TREG, [3, 4, 5], [1, 1, 1]) == [3, 4, 5]
 
 
 # sha256 of the oracle's per-node waveforms on every corpus cell's stimulus,
