@@ -46,15 +46,15 @@ _UNMASKED = {"and": operator.and_, "or": operator.or_, "xor": operator.xor,
 
 
 def simulate_design(
-    d: Design, stimuli: dict[str, Waveform], cycles: int | None = None
+    d: Design, stimuli: dict[str, Waveform]
 ) -> tuple[dict[str, Waveform], list[list[int]]]:
-    """Outputs and per-node waveforms of one design under explicit stimuli.
+    """Outputs and per-node waveforms of one design under explicit stimuli,
+    over as many cycles as the shortest input stimulus.
 
     Children precede their node, so each node's whole waveform is computed
     from its children's in one pass; only registers step through the cycles.
     """
-    if cycles is None:
-        cycles = min(stimuli[p].cycles for p, _ in d.inputs) if d.inputs else 0
+    cycles = min(stimuli[p].cycles for p, _ in d.inputs) if d.inputs else 0
     values: list[list[int]] = []
     for n in d.nodes:
         k = n.kind
