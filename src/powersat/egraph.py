@@ -307,7 +307,7 @@ class EGraph:
         """
         if roots is None:
             roots = self.root_classes()
-        roots = sorted(set(self.find(c) for c in roots))
+        roots = {self.find(c) for c in roots}
         counts = {cid: 0 for cid in self._classes}
 
         def product() -> int:
