@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -299,26 +300,40 @@ def test_lp_text_shape():
     assert lp_text(build_problem(g, zero_scores(g))) == text
 
 
-# Search-tree pins: the objective, node count and optimality flag of the
-# branch and bound on corpus cells (8 rewrite iterations, 2 for add-trees).
-# A change to the solver that keeps the same search tree keeps all three.
+# Search-tree pins: the objective, node count, optimality flag and selection
+# digest of the branch and bound on corpus cells (8 rewrite iterations, 2 for
+# add-trees). The digest is the sha256 of the report's selection as JSON
+# [[class, node], ...]. A change to the solver that keeps the same search
+# tree keeps all four.
 SEARCH_TREE_PINS = [
-    ("fig1_op_isolate", "cfg1", 124.18234117058527, 6045),
-    ("fig1_op_isolate", "cfg2", 124.18234117058527, 6045),
-    ("fig1_op_isolate", "cfg3", 151.27434550608635, 3218),
-    ("fig1_op_isolate", "cfg4", 151.27434550608635, 3218),
-    ("seq_reg", "cfg1", 7.560780390195099, 56),
-    ("seq_reg", "cfg2", 12.3818575954644, 63),
-    ("seq_reg", "cfg3", 12.3818575954644, 63),
-    ("seq_reg", "cfg4", 7.560780390195099, 56),
-    ("dual_op_alu", "cfg3", 66.01579956644991, 21998),
-    ("dual_op_alu", "cfg4", 66.01579956644991, 21998),
-    ("comb_mux_add_tree", "cfg3", 101.37006003001501, 41479),
+    ("fig1_op_isolate", "cfg1", 124.18234117058527, 6045,
+     "7a18c3ba979f488fa08efe22d7e9fc44ceff9a7bc9408250ebebdc47e9ecb5f8"),
+    ("fig1_op_isolate", "cfg2", 124.18234117058527, 6045,
+     "7a18c3ba979f488fa08efe22d7e9fc44ceff9a7bc9408250ebebdc47e9ecb5f8"),
+    ("fig1_op_isolate", "cfg3", 151.27434550608635, 3218,
+     "469d1d569b8ac7cf0a435135c31a565a975749944fc26dcd94534d9ed36f859f"),
+    ("fig1_op_isolate", "cfg4", 151.27434550608635, 3218,
+     "469d1d569b8ac7cf0a435135c31a565a975749944fc26dcd94534d9ed36f859f"),
+    ("seq_reg", "cfg1", 7.560780390195099, 56,
+     "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
+    ("seq_reg", "cfg2", 12.3818575954644, 63,
+     "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
+    ("seq_reg", "cfg3", 12.3818575954644, 63,
+     "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
+    ("seq_reg", "cfg4", 7.560780390195099, 56,
+     "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
+    ("dual_op_alu", "cfg3", 66.01579956644991, 21998,
+     "e5c2b5d57b3856512ec59081d763bf9c0da5bde2a8df07923e7da597efb127f5"),
+    ("dual_op_alu", "cfg4", 66.01579956644991, 21998,
+     "e5c2b5d57b3856512ec59081d763bf9c0da5bde2a8df07923e7da597efb127f5"),
+    ("comb_mux_add_tree", "cfg3", 101.37006003001501, 41479,
+     "9d563fe2241642ad9a1eebef30b3b91dfd1d69ca14ae99801aae1f703c81908e"),
 ]
 
 
-@pytest.mark.parametrize("name,cfg,objective,explored", SEARCH_TREE_PINS)
-def test_search_tree_is_pinned(name, cfg, objective, explored, tmp_path, capsys):
+@pytest.mark.parametrize("name,cfg,objective,explored,selection", SEARCH_TREE_PINS,
+                         ids=[f"{n}-{c}-{o}-{e}" for n, c, o, e, _ in SEARCH_TREE_PINS])
+def test_search_tree_is_pinned(name, cfg, objective, explored, selection, tmp_path, capsys):
     report = tmp_path / "report.json"
     iters = 2 if name.endswith("add_tree") else 8
     rc = cli.main(["--input", str(benchmarks.design_path(name)),
@@ -328,3 +343,5 @@ def test_search_tree_is_pinned(name, cfg, objective, explored, tmp_path, capsys)
     got = json.loads(report.read_text())
     assert got["optimized_objective"] == pytest.approx(objective, rel=1e-12)
     assert got["solver"] == {"explored": explored, "proven_optimal": True}
+    picked = json.dumps([[s["class"], s["node"]] for s in got["selection"]])
+    assert hashlib.sha256(picked.encode()).hexdigest() == selection
