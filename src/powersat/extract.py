@@ -119,12 +119,19 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
 
     # Per class, built on its first visit: (score, node, child classes,
     # combinational child classes). Register children are not ordering edges.
+    # A row with the score, child classes and register flag of an earlier row
+    # is its twin: its subtree is a copy whose leaves differ only in this
+    # class's node, which sorts later by node key, so it is skipped.
     rows_of: dict[int, list[tuple[float, ENode, tuple[int, ...], tuple[int, ...]]]] = {}
 
     def rows(cid: int) -> list[tuple[float, ENode, tuple[int, ...], tuple[int, ...]]]:
-        out = []
+        out, seen = [], set()
         for score, _key, n in cands[cid]:
             children = tuple({find(c) for c in n.children})
+            twin = (score, frozenset(children), n.kind == "reg")
+            if twin in seen:
+                continue
+            seen.add(twin)
             out.append((score, n, children, () if n.kind == "reg" else children))
         rows_of[cid] = out
         return out

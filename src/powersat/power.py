@@ -79,9 +79,7 @@ def node_power(
     if a == 0.0:
         return 0.0
     cid = g.find(out_class) if out_class is not None else _own_class(g, n)
-    t = stats[cid].word_rate
-    for c in n.children:
-        t += stats[g.find(c)].word_rate
+    t = math.fsum([stats[cid].word_rate, *(stats[g.find(c)].word_rate for c in n.children)])
     return a * t / (len(n.children) + 1)
 
 

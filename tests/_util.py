@@ -4,7 +4,7 @@ import os
 import random
 from pathlib import Path
 
-from powersat.egraph import EGraph, ENode
+from powersat.egraph import EGraph, ENode, node_key
 from powersat.ir import Design, DesignBuilder
 from powersat.stimulus import Waveform
 
@@ -162,9 +162,12 @@ def brute_force_min(g: EGraph, roots, scores):
 
     Mirrors the solver's validity notion (one node per needed class, children
     needed, combinational representative graph acyclic with register data
-    edges exempt) but explores the whole tree with no pruning.
+    edges exempt) but explores the whole tree with no pruning. Among the
+    selections within 1e-9 of the cheapest, the choice returned is the one
+    lexicographically smallest by (class id, node key), the solver's
+    tie-break.
     """
-    best = {"cost": float("inf"), "choice": None}
+    leaves = []
 
     def reaches(edges, src, dst):
         stack, seen = [src], set()
@@ -179,8 +182,8 @@ def brute_force_min(g: EGraph, roots, scores):
 
     def rec(undecided, choice, edges, cost):
         if not undecided:
-            if cost < best["cost"] - 1e-12:
-                best["cost"], best["choice"] = cost, dict(choice)
+            key = tuple(sorted((cid, node_key(n)) for cid, n in choice.items()))
+            leaves.append((cost, key, dict(choice)))
             return
         cid = min(undecided)
         rest = undecided - {cid}
@@ -197,4 +200,9 @@ def brute_force_min(g: EGraph, roots, scores):
             del edges[cid]
 
     rec({g.find(r) for r in roots}, {}, {}, 0.0)
-    return best["cost"], best["choice"]
+    if not leaves:
+        return float("inf"), None
+    best_cost = min(cost for cost, _, _ in leaves)
+    _, choice = min(((key, choice) for cost, key, choice in leaves
+                     if cost <= best_cost + 1e-9), key=lambda leaf: leaf[0])
+    return best_cost, choice

@@ -270,4 +270,4 @@ def test_selection_deeper_than_the_recursion_limit_exits_0(tmp_path, capsys):
     rc = invoke("--input", dsl, "--stimuli", cfg, "--max-iters", 1, "--time-budget", 0.2,
                 "--output", tmp_path / "opt.dsl", "--report", rep)
     assert rc == 0, capsys.readouterr().err
-    assert json.loads(rep.read_text())["solver"]["proven_optimal"] is False
+    assert json.loads(rep.read_text())["solver"]["proven_optimal"] is True

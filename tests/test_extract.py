@@ -113,6 +113,25 @@ def test_infeasible_problem_raises():
         solve(problem)
 
 
+def test_register_row_is_not_a_twin_of_a_combinational_row():
+    # mux(en, a, a) and reg(a, en) tie with the same child classes, but only
+    # the register lets class a close a loop back through it: not(root)
+    g = EGraph()
+    a = g.add(ENode("var", (), 4, "a"))
+    en = g.add(ENode("var", (), 1, "en"))
+    root = g.add(ENode("reg", (a, en), 4))
+    g.merge(root, g.add(ENode("mux", (en, a, a), 4)))
+    g.merge(a, g.add(ENode("not", (root,), 4)))
+    g.rebuild()
+    root, a = g.find(root), g.find(a)
+    scores = zero_scores(g)
+    scores[root] = {n: 1.0 for n in g.nodes_of(root)}
+    scores[a] = {n: 10.0 if n.kind == "var" else 0.5 for n in g.nodes_of(a)}
+    sol = solve(build_problem(g, scores, roots=[root]))
+    assert (sol.choice[root].kind, sol.choice[a].kind) == ("reg", "not")
+    assert sol.objective == 1.5
+
+
 def test_register_feedback_allowed_by_solver_rejected_on_rebuild():
     d = parse_design(
         "(module m (input seed 4) (input en 1) (input base 4)"
@@ -162,6 +181,33 @@ def test_matches_brute_force_on_random_graphs():
         assert sol.objective == pytest.approx(want_cost)
         assert sol.stats.proven_optimal
         assert selection_cost(build_problem(g, scores, roots=roots), sol.choice) == pytest.approx(sol.objective)
+
+
+def test_ties_break_like_brute_force():
+    # Scores from a few exact binary fractions make many selections tie, and
+    # commuted copies of binary nodes (scored like their originals) make
+    # twin rows; the solver must still return the brute-force tie winner.
+    rng = random.Random(1931)
+    for _ in range(60):
+        g, roots, _ = random_egraph(rng)
+        for cid in g.class_ids():
+            for n in list(g.nodes_of(cid)):
+                a, b = n.children[:2] if len(n.children) == 2 else (None, None)
+                if n.kind in ("and", "or", "xor", "add") and a != b and rng.random() < 0.7:
+                    g.merge(cid, g.add(ENode(n.kind, (b, a), n.width)))
+        g.rebuild()
+        roots = [g.find(r) for r in roots]
+        drawn: dict[tuple, float] = {}
+        scores = {
+            cid: {n: drawn.setdefault((n.kind, tuple(sorted(n.children)), n.port),
+                                      rng.choice((0.5, 1.0, 1.5)))
+                  for n in g.nodes_of(cid)}
+            for cid in g.class_ids()
+        }
+        want_cost, want_choice = brute_force_min(g, roots, scores)
+        sol = solve(build_problem(g, scores, roots=roots))
+        assert sol.objective == want_cost
+        assert sol.choice == want_choice
 
 
 def test_never_worse_than_incumbent():
@@ -246,7 +292,8 @@ def test_selection_deeper_than_the_recursion_limit():
     assert g.class_count() == 2100
 
     sol = solve(problem, time_budget=0.2)
-    assert not sol.stats.proven_optimal  # commuted adders tie; the tree is 2^700 wide
+    # commuted adders are twin rows, searched once: the tree is one path wide
+    assert sol.stats.proven_optimal
     assert sol.stats.explored > 2100
     assert _closure(g, sol.choice, problem.roots) == sol.choice
     assert sol.objective == pytest.approx(selection_cost(problem, sol.choice))
@@ -303,37 +350,41 @@ def test_lp_text_shape():
 # Search-tree pins: the objective, node count, optimality flag and selection
 # digest of the branch and bound on corpus cells (8 rewrite iterations, 2 for
 # add-trees). The digest is the sha256 of the report's selection as JSON
-# [[class, node], ...]. A change to the solver that keeps the same search
-# tree keeps all four.
+# [[class, node], ...]. Each cell reads (design, config, objective, nodes
+# explored when twin rows were still searched, nodes explored, digest); the
+# test ids carry the first four. A solver change that keeps the search tree
+# keeps every field; one that prunes more (as skipping twin rows did) lowers
+# the node count and must keep the objective, optimality and digest.
 SEARCH_TREE_PINS = [
-    ("fig1_op_isolate", "cfg1", 124.18234117058527, 6045,
+    ("fig1_op_isolate", "cfg1", 124.18234117058527, 6045, 1577,
      "7a18c3ba979f488fa08efe22d7e9fc44ceff9a7bc9408250ebebdc47e9ecb5f8"),
-    ("fig1_op_isolate", "cfg2", 124.18234117058527, 6045,
+    ("fig1_op_isolate", "cfg2", 124.18234117058527, 6045, 1577,
      "7a18c3ba979f488fa08efe22d7e9fc44ceff9a7bc9408250ebebdc47e9ecb5f8"),
-    ("fig1_op_isolate", "cfg3", 151.27434550608635, 3218,
+    ("fig1_op_isolate", "cfg3", 151.27434550608635, 3218, 861,
      "469d1d569b8ac7cf0a435135c31a565a975749944fc26dcd94534d9ed36f859f"),
-    ("fig1_op_isolate", "cfg4", 151.27434550608635, 3218,
+    ("fig1_op_isolate", "cfg4", 151.27434550608635, 3218, 861,
      "469d1d569b8ac7cf0a435135c31a565a975749944fc26dcd94534d9ed36f859f"),
-    ("seq_reg", "cfg1", 7.560780390195099, 56,
+    ("seq_reg", "cfg1", 7.560780390195099, 56, 37,
      "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
-    ("seq_reg", "cfg2", 12.3818575954644, 63,
+    ("seq_reg", "cfg2", 12.3818575954644, 63, 44,
      "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
-    ("seq_reg", "cfg3", 12.3818575954644, 63,
+    ("seq_reg", "cfg3", 12.3818575954644, 63, 44,
      "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
-    ("seq_reg", "cfg4", 7.560780390195099, 56,
+    ("seq_reg", "cfg4", 7.560780390195099, 56, 37,
      "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
-    ("dual_op_alu", "cfg3", 66.01579956644991, 21998,
+    ("dual_op_alu", "cfg3", 66.01579956644991, 21998, 2545,
      "e5c2b5d57b3856512ec59081d763bf9c0da5bde2a8df07923e7da597efb127f5"),
-    ("dual_op_alu", "cfg4", 66.01579956644991, 21998,
+    ("dual_op_alu", "cfg4", 66.01579956644991, 21998, 2545,
      "e5c2b5d57b3856512ec59081d763bf9c0da5bde2a8df07923e7da597efb127f5"),
-    ("comb_mux_add_tree", "cfg3", 101.37006003001501, 41479,
+    ("comb_mux_add_tree", "cfg3", 101.37006003001501, 41479, 8279,
      "9d563fe2241642ad9a1eebef30b3b91dfd1d69ca14ae99801aae1f703c81908e"),
 ]
 
 
-@pytest.mark.parametrize("name,cfg,objective,explored,selection", SEARCH_TREE_PINS,
-                         ids=[f"{n}-{c}-{o}-{e}" for n, c, o, e, _ in SEARCH_TREE_PINS])
-def test_search_tree_is_pinned(name, cfg, objective, explored, selection, tmp_path, capsys):
+@pytest.mark.parametrize("name,cfg,objective,with_twins,explored,selection", SEARCH_TREE_PINS,
+                         ids=[f"{n}-{c}-{o}-{t}" for n, c, o, t, _, _ in SEARCH_TREE_PINS])
+def test_search_tree_is_pinned(name, cfg, objective, with_twins, explored, selection,
+                               tmp_path, capsys):
     report = tmp_path / "report.json"
     iters = 2 if name.endswith("add_tree") else 8
     rc = cli.main(["--input", str(benchmarks.design_path(name)),
@@ -343,5 +394,88 @@ def test_search_tree_is_pinned(name, cfg, objective, explored, selection, tmp_pa
     got = json.loads(report.read_text())
     assert got["optimized_objective"] == pytest.approx(objective, rel=1e-12)
     assert got["solver"] == {"explored": explored, "proven_optimal": True}
+    assert explored <= with_twins
     picked = json.dumps([[s["class"], s["node"]] for s in got["selection"]])
     assert hashlib.sha256(picked.encode()).hexdigest() == selection
+
+
+def parse_lp(text):
+    """`lp_text`'s restricted LP format as (objective, rows, bounds): the
+    objective and each row's left side map variable index -> coefficient,
+    a row is (terms, sense, right side), bounds map index -> (lo, hi)."""
+    names: dict[str, int] = {}
+
+    def linear(tokens):
+        terms, sign, coef = {}, 1.0, 1.0
+        for tok in tokens:
+            if tok in ("+", "-"):
+                sign = -1.0 if tok == "-" else 1.0
+                continue
+            try:
+                coef = float(tok)
+            except ValueError:
+                i = names.setdefault(tok, len(names))
+                terms[i] = terms.get(i, 0.0) + sign * coef
+                sign, coef = 1.0, 1.0
+        return terms
+
+    section, objective, rows, bounds = None, {}, [], {}
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            section = line
+            continue
+        tokens = line.split(":", 1)[-1].split()
+        if section == "Minimize":
+            objective = linear(tokens)
+        elif section == "Subject To":
+            rows.append((linear(tokens[:-2]), tokens[-2], float(tokens[-1])))
+        elif section == "Bounds":
+            lo, _, name, _, hi = tokens
+            bounds[names.setdefault(name, len(names))] = (float(lo), float(hi))
+        elif section == "Binaries":
+            for name in tokens:
+                bounds[names.setdefault(name, len(names))] = (0.0, 1.0)
+    assert len(bounds) == len(names)  # every variable is a binary or a bounded general
+    return objective, rows, bounds
+
+
+LP_CELLS = [("fig1_op_isolate", "cfg1"), ("fig1_op_isolate", "cfg3"),
+            ("seq_reg", "cfg1"), ("seq_reg", "cfg3"),
+            ("dual_op_alu", "cfg1"), ("dual_op_alu", "cfg3"),
+            ("pipe_mux_add_tree", "cfg3")]
+
+
+@pytest.mark.parametrize("name,cfg", LP_CELLS)
+def test_lp_text_optimum_matches_an_independent_solver(name, cfg, tmp_path, capsys):
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    report, lp = tmp_path / "report.json", tmp_path / "problem.lp"
+    rc = cli.main(["--input", str(benchmarks.design_path(name)),
+                   "--stimuli", str(benchmarks.stimuli_path(name, cfg)),
+                   "--max-iters", "2", "--dump-lp", str(lp), "--report", str(report)])
+    assert rc == 0
+    got = json.loads(report.read_text())
+    assert got["solver"]["proven_optimal"]
+
+    objective, rows, bounds = parse_lp(lp.read_text())
+    n = len(bounds)
+    c = np.zeros(n)
+    for i, k in objective.items():
+        c[i] = k
+    a = sparse.lil_matrix((len(rows), n))
+    lo, hi = np.full(len(rows), -np.inf), np.full(len(rows), np.inf)
+    for r, (terms, sense, rhs) in enumerate(rows):
+        for i, k in terms.items():
+            a[r, i] = k
+        if sense in ("<=", "="):
+            hi[r] = rhs
+        if sense in (">=", "="):
+            lo[r] = rhs
+    res = optimize.milp(c, constraints=optimize.LinearConstraint(a.tocsr(), lo, hi),
+                        integrality=np.ones(n),
+                        bounds=optimize.Bounds([bounds[i][0] for i in range(n)],
+                                               [bounds[i][1] for i in range(n)]),
+                        options={"mip_rel_gap": 0.0})
+    assert res.success, res.message
+    assert res.fun == pytest.approx(got["optimized_objective"], rel=1e-7)

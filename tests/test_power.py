@@ -111,6 +111,24 @@ def test_node_power_is_equal_weighted_toggle_average():
     assert node_power(add, g, stats, out_class=cid) == pytest.approx(40 * 0.5)
 
 
+def test_commuted_nodes_score_bit_identically():
+    # (0.2 + 0.1) + 0.3 != (0.2 + 0.3) + 0.1 in floating point; the score
+    # must not depend on operand order, or commuted nodes only nearly tie
+    g, _ = graph_of("(module m (input a 8) (input b 8) (output y (add a b)))")
+    cid, ab = node_of(g, "add")
+    a, b = ab.children
+    g.merge(cid, g.add(ENode("add", (b, a), 8)))
+    g.rebuild()
+    cid = g.find(cid)
+    rates = {cid: 0.2, g.find(a): 0.1, g.find(b): 0.3}
+    stats = {c: ActivityStats(width=8, cycles=100, toggles=(0,) * 8, rates=(r,) * 8,
+                              word_rate=r, static_prob=(0.5,) * 8, static_prob_mean=0.5)
+             for c, r in rates.items()}
+    scores = [node_power(n, g, stats, out_class=cid) for n in sorted(g.nodes_of(cid))]
+    assert len(scores) == 2
+    assert scores[0] == scores[1]
+
+
 def test_zero_area_nodes_score_zero():
     g, _ = graph_of("(module m (input a 8) (output y (not a)))")
     cid, var = node_of(g, "var")
