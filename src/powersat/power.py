@@ -1,8 +1,11 @@
 """Activity-weighted power scores: gate-count areas times mean toggle rates.
 
 A node's score is area(n) * (T_out + sum of T_in) / (k + 1) where k is its
-child count and each T is the word-level toggle rate of a class. Area mode
-replaces the toggle factor with 1 and reduces the objective to an area sum.
+child count and each T is the word-level toggle rate of a class. The rates
+are summed with one rounding (`math.fsum`), so the score does not depend on
+the order of the operands: commuted nodes score bit-identically, which lets
+extraction treat them as twins. Area mode replaces the toggle factor with 1
+and reduces the objective to an area sum.
 """
 
 import math

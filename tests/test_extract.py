@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from powersat import benchmarks, cli
@@ -192,9 +193,9 @@ def test_ties_break_like_brute_force():
         g, roots, _ = random_egraph(rng)
         for cid in g.class_ids():
             for n in list(g.nodes_of(cid)):
-                a, b = n.children[:2] if len(n.children) == 2 else (None, None)
-                if n.kind in ("and", "or", "xor", "add") and a != b and rng.random() < 0.7:
-                    g.merge(cid, g.add(ENode(n.kind, (b, a), n.width)))
+                if (n.kind in ("and", "or", "xor", "add") and n.children[0] != n.children[1]
+                        and rng.random() < 0.7):
+                    g.merge(cid, g.add(ENode(n.kind, n.children[::-1], n.width)))
         g.rebuild()
         roots = [g.find(r) for r in roots]
         drawn: dict[tuple, float] = {}
@@ -447,7 +448,6 @@ LP_CELLS = [("fig1_op_isolate", "cfg1"), ("fig1_op_isolate", "cfg3"),
 
 @pytest.mark.parametrize("name,cfg", LP_CELLS)
 def test_lp_text_optimum_matches_an_independent_solver(name, cfg, tmp_path, capsys):
-    np = pytest.importorskip("numpy")
     optimize = pytest.importorskip("scipy.optimize")
     sparse = pytest.importorskip("scipy.sparse")
     report, lp = tmp_path / "report.json", tmp_path / "problem.lp"
