@@ -104,6 +104,9 @@ def run(args: argparse.Namespace) -> int:
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(lp_text(problem))
     baseline = selection_cost(problem, _closure(g, seed_choice, problem.roots))
+    # Nothing below reads the waveforms, activity or scores. Extraction sets
+    # the memory peak on large graphs; freed, they make room for its tables.
+    del rep, waves, stats, scores
     solution = solve(problem, time_budget=args.time_budget)
     t = lap("extract", t)
 

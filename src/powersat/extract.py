@@ -10,7 +10,15 @@ always exists and the objective can only improve on the baseline.
 import time
 from dataclasses import dataclass, field
 
-from .egraph import EGraph, EGraphError, ENode, node_key, origin_choice
+from .egraph import (
+    EGraph,
+    EGraphError,
+    ENode,
+    closes_cycle,
+    node_key,
+    origin_choice,
+    strongly_connected,
+)
 from .ir import Design, DesignBuilder
 
 
@@ -83,14 +91,133 @@ def selection_cost(problem: SelectionProblem, choice: dict[int, ENode]) -> float
     return total
 
 
+# A search row: (score, node, classes choosing the node makes needed that
+# the class's own forced set does not already hold, combinational child
+# classes). Register children are not ordering edges.
+Row = tuple[float, ENode, tuple[int, ...], tuple[int, ...]]
+
+
+def _late(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
+def _bound_tables(
+    problem: SelectionProblem, roots: list[int], deadline: float | None
+) -> tuple[dict[int, list[Row]], dict[int, tuple[int, ...]], dict[int, float]] | None:
+    """Per class: search rows, forced set and bound h. None once the
+    deadline passes.
+
+    Rows are made once per candidate, with its canonical child classes. A
+    row with the score, child classes and register flag of an earlier row
+    is its twin: its subtree is a copy whose leaves differ only in this
+    class's node, which sorts later by node key, so it is left out.
+
+    forced(c) = {c} ∪ ⋂_{rows n of c} ⋃_{d ∈ children(n)} forced(d) holds
+    the classes every selection containing c contains, as a tuple that
+    starts with c. It is closed: it holds the forced set of each member.
+
+    A class d is exclusive if it has exactly one parent class p over all
+    candidates, is not a root, is not its own parent and is in no other
+    class's forced set. Any forced set holding d reaches it through p, so
+    the last condition reads d ∉ forced(p). An exclusive class becomes
+    needed only as a child of p's chosen row. So h(c), the least over rows
+    n of score(n) plus h of the exclusive children of n, bounds c and its
+    exclusive descendants, and the undecided classes' h never count a
+    class twice.
+
+    Both tables are computed children first over the strongly connected
+    components of the class graph, iterating only inside cyclic ones.
+    Forced sets grow from {c} to a fixpoint. h rises from the cheapest row
+    for at most one round per member; every iterate is a valid bound, and
+    only a cycle of exclusive classes, which never becomes needed, would
+    keep rising. Once a component is done, its rows keep only the classes
+    they add to the class's forced set, since that set is needed before
+    the class is decided.
+    """
+    find = problem.g.find
+    rows_of: dict[int, list[Row]] = {}
+    parent: dict[int, int] = {}  # class -> its parent class, while it has one
+    shared = set(roots)  # classes that cannot be exclusive
+    for cid, ranked in problem.candidates.items():
+        if _late(deadline):
+            return None
+        out, seen = [], set()
+        for score, _key, n in ranked:
+            children = tuple({find(c) for c in n.children})
+            twin = (score, frozenset(children), n.kind == "reg")
+            if twin in seen:
+                continue
+            seen.add(twin)
+            out.append((score, n, children, () if n.kind == "reg" else children))
+            for d in children:
+                if parent.setdefault(d, cid) != cid or d == cid:
+                    shared.add(d)
+        rows_of[cid] = out
+
+    forced: dict[int, tuple[int, ...]] = {}
+    h: dict[int, float] = {}
+
+    def forced_of(c: int) -> tuple[int, ...]:
+        common: set[int] | None = None
+        for _score, _n, children, _comb in rows_of[c]:
+            reach = {x for d in children for x in forced[d]}
+            common = reach if common is None else common & reach
+            if not common:
+                return (c,)
+        common.discard(c)
+        return (c, *common)
+
+    def h_of(c: int) -> float:
+        mine = forced[c]
+        return min(score + sum(h[d] for d in children
+                               if d not in shared and parent[d] == c and d not in mine)
+                   for score, _n, children, _comb in rows_of[c])
+
+    succ = {cid: [d for row in out for d in row[2]] for cid, out in rows_of.items()}
+    for comp in strongly_connected(succ):
+        if _late(deadline):
+            return None
+        for c in comp:
+            forced[c] = (c,)
+            h[c] = rows_of[c][0][0]
+        cyclic = closes_cycle(comp, succ)
+        grew = True
+        while grew:
+            grew = False
+            for c in comp:
+                f = forced_of(c)
+                if len(f) > len(forced[c]):
+                    forced[c] = f
+                    grew = cyclic
+        for _ in range(len(comp) if cyclic else 1):
+            rose = False
+            for c in comp:
+                v = h_of(c)
+                if v > h[c]:
+                    h[c] = v
+                    rose = True
+            if not rose:
+                break
+        for c in comp:
+            mine = set(forced[c])
+            rows_of[c] = [(score, n, tuple({x for d in children for x in forced[d]} - mine), comb)
+                          for score, n, children, comb in rows_of[c]]
+    return rows_of, forced, h
+
+
 def solve(problem: SelectionProblem, time_budget: float | None = None) -> ExtractionSolution:
     """Exact branch and bound; returns the incumbent if the budget runs out.
 
     Classes are decided in ascending-id order among those currently needed;
-    candidates are tried cheapest first; the bound adds each undecided needed
-    class's cheapest member. Ties on the objective resolve to the selection
-    that is lexicographically smallest by (class id, node key). The budget
-    covers the whole call, set-up included.
+    candidates are tried cheapest first. When a class becomes needed, its
+    whole forced set (the classes every selection containing it contains)
+    becomes needed with it. The bound adds, for each undecided needed class,
+    h: the cheapest cost of the class together with its exclusive
+    descendants, classes that only it can make needed (see
+    `_bound_tables`). Ties on the objective resolve to the selection that is
+    lexicographically smallest by (class id, node key). The budget covers
+    the whole call, set-up included; if it is spent when set-up ends, the
+    incumbent comes back unproven.
 
     The search runs on an explicit stack, so its depth is not limited by
     Python's recursion limit. One frame per decided class holds
@@ -99,9 +226,6 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
     the selection are updated in place and undone on backtrack.
     """
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    find = problem.g.find
-    cands = problem.candidates
-    min_cost = {cid: ranked[0][0] for cid, ranked in cands.items()}
     roots = sorted(set(problem.roots))
 
     best_choice: dict[int, ENode] | None = None
@@ -117,24 +241,12 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
         best_cost = selection_cost(problem, seeded)
         best_key = sel_key(seeded)
 
-    # Per class, built on its first visit: (score, node, child classes,
-    # combinational child classes). Register children are not ordering edges.
-    # A row with the score, child classes and register flag of an earlier row
-    # is its twin: its subtree is a copy whose leaves differ only in this
-    # class's node, which sorts later by node key, so it is skipped.
-    rows_of: dict[int, list[tuple[float, ENode, tuple[int, ...], tuple[int, ...]]]] = {}
-
-    def rows(cid: int) -> list[tuple[float, ENode, tuple[int, ...], tuple[int, ...]]]:
-        out, seen = [], set()
-        for score, _key, n in cands[cid]:
-            children = tuple({find(c) for c in n.children})
-            twin = (score, frozenset(children), n.kind == "reg")
-            if twin in seen:
-                continue
-            seen.add(twin)
-            out.append((score, n, children, () if n.kind == "reg" else children))
-        rows_of[cid] = out
-        return out
+    tables = _bound_tables(problem, roots, deadline)
+    if tables is None or _late(deadline):
+        if best_choice is None:
+            raise EGraphError("time budget spent before any feasible selection was found")
+        return ExtractionSolution(best_choice, best_cost, SolverStats(0, False))
+    rows_of, forced, h = tables
 
     choice: dict[int, ENode] = {}
     edges: dict[int, tuple[int, ...]] = {}  # decided class -> its combinational children
@@ -152,9 +264,14 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
             stack.extend(edges.get(x, ()))
         return False
 
-    undecided = set(roots)
+    undecided: set[int] = set()
+    cost, lb = 0.0, 0.0
+    for r in roots:
+        for x in forced[r]:
+            if x not in undecided:
+                undecided.add(x)
+                lb += h[x]
     frames: list[list] = []
-    cost, lb = 0.0, sum(min_cost[c] for c in undecided)
     explored = 0
     out_of_time = False
     while True:
@@ -173,7 +290,7 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
         elif cost + lb <= best_cost + 1e-9:
             cid = min(undecided)
             undecided.remove(cid)
-            frames.append([cid, rows_of.get(cid) or rows(cid), 0, cost, lb - min_cost[cid], ()])
+            frames.append([cid, rows_of[cid], 0, cost, lb - h[cid], ()])
         # Move to the next child of the deepest frame that has one left.
         while frames:
             frame = frames[-1]
@@ -184,7 +301,7 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
                 undecided.difference_update(grown)
             descend = False
             while i < len(cand_rows):
-                score, n, children, comb = cand_rows[i]
+                score, n, needs, comb = cand_rows[i]
                 i += 1
                 if base + score + rest_lb > best_cost + 1e-9:
                     break  # rows are sorted; nothing cheaper follows
@@ -195,11 +312,11 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
                 edges[cid] = comb
                 lb = rest_lb
                 grown = []
-                for d in children:
-                    if d not in choice and d not in undecided:
-                        grown.append(d)
-                        lb += min_cost[d]
-                undecided.update(grown)
+                for x in needs:
+                    if x not in choice and x not in undecided:
+                        undecided.add(x)
+                        grown.append(x)
+                        lb += h[x]
                 frame[2] = i
                 frame[5] = grown
                 cost = base + score

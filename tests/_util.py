@@ -157,15 +157,13 @@ def random_egraph(rng: random.Random, max_classes: int = 12):
     return g, roots, scores
 
 
-def brute_force_min(g: EGraph, roots, scores):
-    """Enumerate every valid selection; returns (best_cost, best_choice).
+def brute_force_leaves(g: EGraph, roots, scores) -> list[tuple[float, tuple, dict]]:
+    """Every valid selection as (cost, key, choice), key being the choice
+    sorted by (class id, node key).
 
     Mirrors the solver's validity notion (one node per needed class, children
     needed, combinational representative graph acyclic with register data
-    edges exempt) but explores the whole tree with no pruning. Among the
-    selections within 1e-9 of the cheapest, the choice returned is the one
-    lexicographically smallest by (class id, node key), the solver's
-    tie-break.
+    edges exempt) but explores the whole tree with no pruning.
     """
     leaves = []
 
@@ -200,9 +198,36 @@ def brute_force_min(g: EGraph, roots, scores):
             del edges[cid]
 
     rec({g.find(r) for r in roots}, {}, {}, 0.0)
+    return leaves
+
+
+def brute_force_min(g: EGraph, roots, scores):
+    """The cheapest valid selection as (best_cost, best_choice).
+
+    Among the selections within 1e-9 of the cheapest, the choice returned is
+    the one lexicographically smallest by (class id, node key), the solver's
+    tie-break. (inf, None) if no selection is valid.
+    """
+    leaves = brute_force_leaves(g, roots, scores)
     if not leaves:
         return float("inf"), None
     best_cost = min(cost for cost, _, _ in leaves)
     _, choice = min(((key, choice) for cost, key, choice in leaves
                      if cost <= best_cost + 1e-9), key=lambda leaf: leaf[0])
     return best_cost, choice
+
+
+def cheapest_costlier_leaf(g: EGraph, roots, scores):
+    """The cheapest valid selection costing more than the optimum (beyond
+    the solver's 1e-9 tie tolerance), as (cost, choice), or None if every
+    valid selection ties with the optimum. Seeded as the incumbent, it makes
+    the solver prune with the tightest bound short of the optimum itself."""
+    leaves = brute_force_leaves(g, roots, scores)
+    if not leaves:
+        return None
+    best_cost = min(cost for cost, _, _ in leaves)
+    above = [(cost, key, choice) for cost, key, choice in leaves if cost > best_cost + 1e-9]
+    if not above:
+        return None
+    cost, _, choice = min(above, key=lambda leaf: leaf[:2])
+    return cost, choice
