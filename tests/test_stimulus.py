@@ -192,7 +192,7 @@ def reference_stream(seed: int, port: str, bit: int, spec: PortSpec, cycles: int
 def test_streams_match_the_scalar_generator(seed, port, rate, isp, width, cycles):
     b = DesignBuilder("one")
     b.add_input(port, width)
-    b.add_output("y", b.var(port))
+    b.add_output("y" if port != "y" else "z", b.var(port))
     spec = PortSpec(toggle_rate=rate, initial_static_probability=isp)
     wave = generate_stimuli(StimulusConfig(cycles, seed, {port: spec}), b.finish())[port]
     columns = [reference_stream(seed, port, bit, spec, cycles) for bit in range(width)]
