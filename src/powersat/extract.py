@@ -264,14 +264,9 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
             stack.extend(edges.get(x, ()))
         return False
 
-    undecided: set[int] = set()
-    cost, lb = 0.0, 0.0
-    for r in roots:
-        for x in forced[r]:
-            if x not in undecided:
-                undecided.add(x)
-                lb += h[x]
+    undecided = {c for r in roots for c in forced[r]}
     frames: list[list] = []
+    cost, lb = 0.0, sum(h[c] for c in undecided)
     explored = 0
     out_of_time = False
     while True:
