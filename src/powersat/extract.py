@@ -94,7 +94,7 @@ def selection_cost(problem: SelectionProblem, choice: dict[int, ENode]) -> float
 # A search row: (score, node, classes choosing the node makes needed that
 # the class's own forced set does not already hold, combinational child
 # classes). Register children are not ordering edges.
-Row = tuple[float, ENode, tuple[int, ...], tuple[int, ...]]
+_Row = tuple[float, ENode, tuple[int, ...], tuple[int, ...]]
 
 
 def _late(deadline: float | None) -> bool:
@@ -103,7 +103,7 @@ def _late(deadline: float | None) -> bool:
 
 def _bound_tables(
     problem: SelectionProblem, roots: list[int], deadline: float | None
-) -> tuple[dict[int, list[Row]], dict[int, tuple[int, ...]], dict[int, float]] | None:
+) -> tuple[dict[int, list[_Row]], dict[int, tuple[int, ...]], dict[int, float]] | None:
     """Per class: search rows, forced set and bound h. None once the
     deadline passes.
 
@@ -135,7 +135,7 @@ def _bound_tables(
     the class is decided.
     """
     find = problem.g.find
-    rows_of: dict[int, list[Row]] = {}
+    rows_of: dict[int, list[_Row]] = {}
     parent: dict[int, int] = {}  # class -> its parent class, while it has one
     shared = set(roots)  # classes that cannot be exclusive
     for cid, ranked in problem.candidates.items():
