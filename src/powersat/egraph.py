@@ -58,8 +58,10 @@ class RootInfo:
 class EGraph:
     """Equality classes of netlist expressions with congruence closure.
 
-    Merges queue affected classes on a worklist; rebuild() repairs parent
-    hashcons entries and upward-merges congruent parents until a fixpoint.
+    Merges queue the surviving class and leave congruence broken until
+    rebuild() (deferred rebuilding, as in egg). Each class lists the
+    (node, class) pairs that read it, so rebuild finds exactly the nodes a
+    merge made stale.
     """
 
     def __init__(self):
@@ -126,9 +128,7 @@ class EGraph:
 
     def add_expr(self, design: Design) -> list[int]:
         """Insert every node of a design; returns one root class per output."""
-        classes: list[int] = []
-        for i, n in enumerate(design.nodes):
-            classes.append(self.add(enode_of(design, i, classes)))
+        classes = self.design_classes(design)
         roots = [classes[idx] for _, idx in design.outputs]
         self.roots = RootInfo([p for p, _ in design.outputs], roots)
         return roots
@@ -172,12 +172,13 @@ class EGraph:
         self.version += 1
         return a
 
-    def _repair(self, cid: int) -> None:
+    def _repair(self, cid: int, touched: set[int]) -> None:
         cls = self._classes.get(cid)
         if cls is None:
             return
         # Re-canonicalize parents; congruent parents collapse via the hashcons.
-        old_parents = cls.parents
+        # The list is detached first: merges below extend the survivor's list.
+        old_parents, cls.parents = cls.parents, []
         for pnode, pcls in old_parents:
             self._hashcons.pop(pnode, None)
         fresh: dict[ENode, int] = {}
@@ -192,41 +193,27 @@ class EGraph:
                 pcls = self.merge(hit, pcls)
                 fresh[n] = pcls
             self._hashcons[n] = pcls
-        cid = self.find(cid)
-        cls = self._classes[cid]
-        cls.parents = list(fresh.items())
-        cls.nodes = {self.canonicalize(n) for n in cls.nodes}
-
-    def _sweep(self) -> bool:
-        """Full normalization pass; returns True if it found anything to merge."""
-        merged = False
-        canon: dict[ENode, int] = {}
-        for cid in sorted(self._classes):
-            if cid not in self._classes:
-                continue
-            cls = self._classes[cid]
-            cls.nodes = {self.canonicalize(n) for n in cls.nodes}
-            for n in cls.nodes:
-                prev = canon.get(n)
-                if prev is None:
-                    canon[n] = cid
-                elif self.find(prev) != self.find(cid):
-                    self.merge(prev, cid)
-                    merged = True
-        if not merged:
-            self._hashcons = {n: self.find(c) for n, c in canon.items()}
-        return merged
+        touched.update(fresh.values())
+        self._classes[self.find(cid)].parents.extend(fresh.items())
 
     def rebuild(self) -> None:
-        """Restore congruence: repair queued classes, then verify globally."""
-        while True:
-            while self._worklist:
-                todo = {self.find(c) for c in self._worklist}
-                self._worklist.clear()
-                for cid in sorted(todo):
-                    self._repair(cid)
-            if not self._sweep():
-                break
+        """Restore congruence in one worklist pass.
+
+        A queued class re-canonicalizes its parents, merging those the
+        hashcons shows congruent, which queues more classes; then the parent
+        classes touched re-canonicalize their members. Hashcons keys with
+        stale children remain but cannot be hit: a lookup's key has only
+        root children, and a merged-away id never becomes a root again.
+        """
+        touched: set[int] = set()
+        while self._worklist:
+            todo = {self.find(c) for c in self._worklist}
+            self._worklist.clear()
+            for cid in sorted(todo):
+                self._repair(cid, touched)
+        for cid in {self.find(c) for c in touched}:
+            cls = self._classes[cid]
+            cls.nodes = {self.canonicalize(n) for n in cls.nodes}
 
     # -- queries -----------------------------------------------------------
 
@@ -262,7 +249,11 @@ class EGraph:
         return "design" if tag is None else tag[1]
 
     def check_invariants(self) -> None:
-        """Hashcons injectivity and child canonicality; for tests and debugging."""
+        """Canonical ids and members, each member in one class, under its
+        class in the hashcons and in the parent list of every child class;
+        for tests and debugging."""
+        listed = {cid: {(self.canonicalize(p), self.find(pc)) for p, pc in cls.parents}
+                  for cid, cls in self._classes.items()}
         seen: dict[ENode, int] = {}
         for cid, cls in self._classes.items():
             if self.find(cid) != cid:
@@ -273,6 +264,12 @@ class EGraph:
                 if n in seen:
                     raise EGraphError(f"{n} appears in classes {seen[n]} and {cid}")
                 seen[n] = cid
+                hit = self._hashcons.get(n)
+                if hit is None or self.find(hit) != cid:
+                    raise EGraphError(f"{n} of class {cid} is not in the hashcons under it")
+                for c in n.children:
+                    if (n, cid) not in listed[c]:
+                        raise EGraphError(f"{n} of class {cid} is missing from class {c}'s parents")
 
     # -- summaries -----------------------------------------------------------
 

@@ -8,15 +8,21 @@ e-graph simulator, so it can serve as an oracle for the optimization path.
 import itertools
 import operator
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .ir import Design
+from .egraph import EGraphError
+from .ir import Design, DesignBuilder
 from .rewrite import (
+    PConst,
+    PConstOf,
+    PNode,
+    PRep,
+    PVar,
+    Pattern,
     Rewrite,
-    rule_designs,
-    rule_kind_vars,
-    sample_rule_instance,
-    solve_rule_widths,
+    Subst,
+    _pattern_vars,
 )
 from .stimulus import Waveform
 
@@ -289,6 +295,194 @@ def _decode_scenario(d: Design, scenario: int, cycles: int) -> dict[str, Wavefor
             slot += width
         waves[port] = Waveform(width, vals)
     return waves
+
+
+# ---------------------------------------------------------------------------
+# instantiating a rule's two sides as concrete designs (for fuzz testing)
+
+
+class _Widths:
+    """Union-find over pattern variable widths with forced values."""
+
+    def __init__(self):
+        self.parent: dict[str, str] = {}
+        self.forced: dict[str, int] = {}
+
+    def find(self, v: str) -> str:
+        self.parent.setdefault(v, v)
+        while self.parent[v] != v:
+            self.parent[v] = self.parent[self.parent[v]]
+            v = self.parent[v]
+        return v
+
+    def union(self, x: str, y: str) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return
+        fx, fy = self.forced.get(rx), self.forced.get(ry)
+        if fx is not None and fy is not None and fx != fy:
+            raise EGraphError(f"conflicting widths for {x} and {y}")
+        self.parent[ry] = rx
+        if fy is not None:
+            self.forced[rx] = fy
+
+    def force(self, v: str, k: int) -> None:
+        r = self.find(v)
+        prev = self.forced.get(r)
+        if prev is not None and prev != k:
+            raise EGraphError(f"conflicting widths for {v}")
+        self.forced[r] = k
+
+
+# Width handles: ("v", var), ("k", literal), ("s", h1, h2) for products,
+# ("f",) for widths that adapt automatically (masks, built constants).
+def _walk_widths(pat: Pattern, uf: _Widths, kinds: Subst):
+    if isinstance(pat, PVar):
+        return ("v", pat.name)
+    if isinstance(pat, PConst):
+        return ("k", pat.width)
+    if isinstance(pat, PConstOf):
+        return ("f",)
+    if isinstance(pat, PRep):
+        _force(_walk_widths(pat.child, uf, kinds), 1, uf)
+        return ("f",)
+    if isinstance(pat, PNode):
+        kind = kinds[pat.kind_var] if pat.kind_var is not None else pat.kinds[0]
+        hs = [_walk_widths(c, uf, kinds) for c in pat.children]
+        if kind in ("add", "sub", "and", "or", "xor", "add3"):
+            for other in hs[1:]:
+                _unify(hs[0], other, uf)
+            return _first_concrete(hs)
+        if kind == "mux":
+            _force(hs[0], 1, uf)
+            _unify(hs[1], hs[2], uf)
+            return _first_concrete(hs[1:])
+        if kind in ("reg", "treg"):
+            _force(hs[1], 1, uf)
+            return hs[0]
+        if kind == "mul":
+            return ("s", hs[0], hs[1])
+        if kind in ("shl", "shr", "not"):
+            return hs[0]
+    raise EGraphError(f"cannot solve widths for {pat!r}")
+
+
+def _first_concrete(hs):
+    for h in hs:
+        if h[0] != "f":
+            return h
+    return ("f",)
+
+
+def _unify(h1, h2, uf: _Widths) -> None:
+    if h1[0] == "f" or h2[0] == "f":
+        return
+    if h1[0] == "s" and h2[0] == "s":
+        _unify(h1[1], h2[1], uf)
+        _unify(h1[2], h2[2], uf)
+        return
+    if h1[0] == "s" or h2[0] == "s":
+        raise EGraphError("cannot unify a product width with a plain width")
+    if h1[0] == "v" and h2[0] == "v":
+        uf.union(h1[1], h2[1])
+    elif h1[0] == "v":
+        uf.force(h1[1], h2[1])
+    elif h2[0] == "v":
+        uf.force(h2[1], h1[1])
+    elif h1[1] != h2[1]:
+        raise EGraphError("conflicting literal widths")
+
+
+def _force(h, k: int, uf: _Widths) -> None:
+    if h[0] == "f":
+        return
+    if h[0] == "v":
+        uf.force(h[1], k)
+    elif h[0] == "k":
+        if h[1] != k:
+            raise EGraphError("conflicting literal widths")
+    else:
+        raise EGraphError("cannot force a product width")
+
+
+def rule_kind_vars(rule: Rewrite) -> dict[str, tuple[str, ...]]:
+    """kind_var name -> admissible operator family, from the left side."""
+    out: dict[str, tuple[str, ...]] = {}
+
+    def walk(pat):
+        if isinstance(pat, PRep):
+            walk(pat.child)
+        elif isinstance(pat, PNode):
+            if pat.kind_var is not None and pat.kind_var not in out:
+                out[pat.kind_var] = pat.kinds
+            for c in pat.children:
+                walk(c)
+
+    walk(rule.lhs)
+    return out
+
+
+def solve_rule_widths(rule: Rewrite, kinds: Subst, pick: Callable[[str], int]) -> dict[str, int]:
+    """Assign a width to every left-side variable; `pick` chooses free widths."""
+    uf = _Widths()
+    _walk_widths(rule.lhs, uf, kinds)
+    names: list[str] = []
+    _pattern_vars(rule.lhs, names)
+    chosen: dict[str, int] = {}
+    widths: dict[str, int] = {}
+    for name in names:
+        root = uf.find(name)
+        if root not in chosen:
+            chosen[root] = uf.forced.get(root, 0) or pick(root)
+        widths[name] = chosen[root]
+    return widths
+
+
+def _build_pattern(pat: Pattern, b: DesignBuilder, widths: dict[str, int],
+                   kinds: Subst, bindw: dict[str, int]) -> int:
+    if isinstance(pat, PVar):
+        return b.var(pat.name)
+    if isinstance(pat, PConst):
+        return b.const(pat.width, pat.value)
+    if isinstance(pat, PConstOf):
+        w = bindw.get(pat.width_of, widths.get(pat.width_of, 0))
+        value = (1 << w) - 1 if pat.value == "ones" else int(pat.value)
+        return b.const(w, value)
+    if isinstance(pat, PRep):
+        child = _build_pattern(pat.child, b, widths, kinds, bindw)
+        count = bindw.get(pat.width_of, widths.get(pat.width_of, 0))
+        return b.op("rep", child, count=count)
+    if isinstance(pat, PNode):
+        kind = kinds[pat.kind_var] if pat.kind_var is not None else pat.kinds[0]
+        children = [_build_pattern(c, b, widths, kinds, bindw) for c in pat.children]
+        idx = b.op(kind, *children)
+        if pat.bind is not None:
+            bindw[pat.bind] = b.nodes[idx].width
+        return idx
+    raise EGraphError(f"cannot build {pat!r}")
+
+
+def rule_designs(rule: Rewrite, widths: dict[str, int], kinds: Subst) -> tuple[Design, Design]:
+    """Both sides of a rule as designs over identical input ports."""
+    names: list[str] = []
+    _pattern_vars(rule.lhs, names)
+    designs = []
+    for tag, pat in (("lhs", rule.lhs), ("rhs", rule.rhs)):
+        b = DesignBuilder(f"{rule.name.replace('-', '_')}_{tag}")
+        for name in names:
+            b.add_input(name, widths[name])
+        bindw: dict[str, int] = dict(widths)
+        out = _build_pattern(pat, b, widths, kinds, bindw)
+        b.add_output("out", out)
+        designs.append(b.finish())
+    return designs[0], designs[1]
+
+
+def sample_rule_instance(rule: Rewrite, rng: random.Random, max_width: int = 4):
+    """Random operator choices and widths for one fuzz trial."""
+    kinds: Subst = {kv: rng.choice(family) for kv, family in rule_kind_vars(rule).items()}
+    widths = solve_rule_widths(rule, kinds, lambda _root: rng.randint(1, max_width))
+    return rule_designs(rule, widths, kinds), widths, kinds
 
 
 # ---------------------------------------------------------------------------

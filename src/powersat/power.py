@@ -71,9 +71,10 @@ def node_power(
     stats: dict[int, ActivityStats],
     model: AreaModel | None = None,
     mode: str = "power",
-    out_class: int | None = None,
+    *,
+    out_class: int,
 ) -> float:
-    """Score one e-node under the graph's activity statistics."""
+    """Score one e-node of class `out_class` under the graph's activity statistics."""
     a = area(n, g, model)
     if mode == "area":
         return a
@@ -81,17 +82,9 @@ def node_power(
         raise PowerError(f"unknown mode {mode!r}")
     if a == 0.0:
         return 0.0
-    cid = g.find(out_class) if out_class is not None else _own_class(g, n)
+    cid = g.find(out_class)
     t = math.fsum([stats[cid].word_rate, *(stats[g.find(c)].word_rate for c in n.children)])
     return a * t / (len(n.children) + 1)
-
-
-def _own_class(g: EGraph, n: ENode) -> int:
-    canon = g.canonicalize(n)
-    for cid in g.class_ids():
-        if canon in g._classes[cid].nodes:
-            return cid
-    raise PowerError(f"{n} is not in the graph")
 
 
 def class_scores(

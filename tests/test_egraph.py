@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from powersat.egraph import COUNT_CAP, EGraph, EGraphError, ENode
 from powersat.ir import parse_design
+from powersat.rewrite import apply_rules, rule_library
 
-from _util import random_design
+from _util import EVERY_KIND, random_design
 
 FIG1 = """
 (module fig1
@@ -182,4 +183,28 @@ def test_random_merges_keep_invariants(seed):
     seen = {}
     for cid in g.class_ids():
         for n in g.nodes_of(cid):
+            assert seen.setdefault(n, cid) == cid
+
+
+def test_rebuild_keeps_parent_lists_of_absorbed_classes():
+    # a merge inside one class's repair absorbs it into a larger class, whose
+    # parent list must keep its own entries next to the repaired ones
+    g = EGraph()
+    g.add_expr(random_design(random.Random("mixed/190"), max_nodes=24, kinds=EVERY_KIND))
+    apply_rules(g, rule_library(), max_iters=3)
+    g.check_invariants()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 3))
+def test_rewriting_keeps_invariants(seed, iters):
+    g = EGraph()
+    g.add_expr(random_design(random.Random(seed), max_nodes=24, kinds=EVERY_KIND))
+    apply_rules(g, rule_library(), max_iters=iters)
+    g.check_invariants()
+    # congruence: every member canonical, no canonical node in two classes
+    seen = {}
+    for cid in g.class_ids():
+        for n in g.nodes_of(cid):
+            assert g.canonicalize(n) == n
             assert seen.setdefault(n, cid) == cid

@@ -7,6 +7,7 @@ import pytest
 
 from powersat import benchmarks
 from powersat.egraph import COUNT_CAP, EGraph, ENode
+from powersat.equiv import sample_rule_instance
 from powersat.ir import parse_design
 from powersat.rewrite import (
     PNode,
@@ -16,7 +17,6 @@ from powersat.rewrite import (
     instantiate,
     rule_library,
     rules_by_name,
-    sample_rule_instance,
     _n,
 )
 
