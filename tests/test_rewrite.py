@@ -6,11 +6,14 @@ import sys
 import pytest
 
 from powersat import benchmarks
-from powersat.egraph import COUNT_CAP, EGraph, ENode
+from powersat.egraph import COUNT_CAP, EGraph, EGraphError, ENode
 from powersat.equiv import sample_rule_instance
 from powersat.ir import parse_design
 from powersat.rewrite import (
+    PConst,
+    PConstOf,
     PNode,
+    PRep,
     PVar,
     apply_rules,
     ematch,
@@ -107,6 +110,61 @@ def test_ematch_nonlinear_needs_same_class():
     g.merge(p, q)
     g.rebuild()
     assert len(ematch(g, pat)) == 1
+
+
+def rule(name):
+    (r,) = rules_by_name([name])
+    return r
+
+
+def test_shared_kind_var_must_bind_the_same_operator():
+    factor = rule("mux-op-factor").lhs
+    g, _, roots = seeded("""
+    (module m (input s 1) (input a 8) (input b 8) (input c 8)
+      (output y (mux s (add a c) (add b c))))
+    """)
+    (cid, subst), = ematch(g, factor)
+    assert cid == g.find(roots[0]) and subst["op"] == "add"
+    g, _, _ = seeded("""
+    (module m (input s 1) (input a 8) (input b 8) (input c 8)
+      (output y (mux s (add a c) (sub b c))))
+    """)
+    assert ematch(g, factor) == []
+
+
+def test_repeated_bind_name_needs_one_class():
+    pat = _n("and", _n("not", PVar("a"), bind="x"), _n("not", PVar("b"), bind="x"))
+    g, _, roots = seeded("(module m (input p 4) (input q 4) (output y (and (not p) (not q))))")
+    assert ematch(g, pat) == []
+    (and_node,) = g.nodes_of(roots[0])
+    g.merge(*and_node.children)
+    g.rebuild()
+    found = ematch(g, pat)
+    x = g.find(and_node.children[0])
+    assert len(found) == 4  # each child picks either member of the merged class
+    assert {s["x"] for _, s in found} == {x}
+    assert len({(s["a"], s["b"]) for _, s in found}) == 4
+
+
+def test_const_leaf_matches_only_its_literal():
+    pat = _n("and", PVar("a"), PConst(4, 3))
+    g, _, roots = seeded("(module m (input p 4) (output y (and p (const 4 3))))")
+    (cid, subst), = ematch(g, pat)
+    assert cid == g.find(roots[0]) and set(subst) == {"a"}
+    g, _, _ = seeded("(module m (input p 4) (output y (and p (const 4 5))))")
+    assert ematch(g, pat) == []
+
+
+def test_const_of_cannot_be_matched():
+    g, _, _ = seeded("(module m (input p 4) (output y (and p (const 4 0))))")
+    with pytest.raises(EGraphError, match="PConstOf"):
+        ematch(g, _n("and", PVar("a"), PConstOf("a", 0)))
+
+
+def test_rep_width_must_be_bound_before_the_rep():
+    g, _, _ = seeded("(module m (input p 4) (input s 1) (output y (and (rep4 s) p)))")
+    with pytest.raises(EGraphError, match="unbound"):
+        ematch(g, _n("and", PRep(PVar("s"), "a"), PVar("a")))
 
 
 def test_instantiate_reuses_bound_classes():
@@ -313,3 +371,49 @@ def test_corpus_saturation_is_pinned(name, iters, digest, steps, stop):
 def test_mixed_saturation_is_pinned(draw, digest, steps, stop):
     d = random_design(random.Random(f"mixed/{draw}"), max_nodes=24, kinds=EVERY_KIND)
     assert saturation_fingerprint(d, 2) == (digest, steps, stop)
+
+
+# Match-list pins: per graph, the sha256 of every library rule's
+# `ematch(g, rule.lhs)` as [(class, sorted substitution items)], in library
+# order, and the total match count. The graphs are the saturation pins'
+# (add-trees at 3 iterations, the rest at 8; mixed draws at 2). The values
+# come from the generator-based matcher; the compiled one must reproduce
+# every list and its order.
+CORPUS_MATCHES = [
+    ("comb_mux_add_tree", 3, "59c0c43faae0f15f3ac3f54b76b823a5ef0b8d1fa0064a084baf16d36857f712", 10732),
+    ("dual_op_alu", 8, "76dde0622fa7277d2f1153e440acabe684b27c656148b48b295f8af601754350", 890),
+    ("fig1_op_isolate", 8, "2d47bcc46363e1bc55df5108ad8d17befa7ce095ae8657067616c34b4757c919", 644),
+    ("pipe_mux_add_tree", 3, "2e12652c74ab91f80eedac4db3863bdbaf03e42bfa1df16f429305e14c81925f", 7045),
+    ("seq_reg", 8, "10c08cfd3b5eea01d74fbfa7cc15216fbcfeabe0c47a1cec796ec4b2080fa244", 119),
+]
+MIXED_MATCHES = [
+    (0, "c9e302713cbd34907facbadbef1b06d7a9732822fa0372fa02974cf390dcf000", 191),
+    (1, "7205b976208d2909b5471528a9deaf9e914f12e2b6817020daa1a92884192104", 9),
+    (2, "6576f89609b268ba2e0dcd0fd04d1ac112ac48ec9b9b54875a9be3e8773df601", 3),
+    (3, "089e9b16aab0546d14ac8343b45bac1c6395ff760c4648b7639a99aece4ee68b", 874),
+    (4, "946d98b9f7e76bdb333fb1860551d2aaabd73b0923cc45a11a87c9e6450085f5", 72),
+]
+
+
+def match_fingerprint(design, iters):
+    g = EGraph()
+    g.add_expr(design)
+    apply_rules(g, rule_library(), max_iters=iters)
+    h = hashlib.sha256()
+    total = 0
+    for r in rule_library():
+        found = ematch(g, r.lhs)
+        total += len(found)
+        h.update(repr([(cid, sorted(s.items())) for cid, s in found]).encode())
+    return h.hexdigest(), total
+
+
+@pytest.mark.parametrize("name,iters,digest,total", CORPUS_MATCHES)
+def test_corpus_matches_are_pinned(name, iters, digest, total):
+    assert match_fingerprint(benchmarks.design(name), iters) == (digest, total)
+
+
+@pytest.mark.parametrize("draw,digest,total", MIXED_MATCHES)
+def test_mixed_matches_are_pinned(draw, digest, total):
+    d = random_design(random.Random(f"mixed/{draw}"), max_nodes=24, kinds=EVERY_KIND)
+    assert match_fingerprint(d, 2) == (digest, total)
