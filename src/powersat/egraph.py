@@ -38,6 +38,20 @@ def enode_of(design: Design, idx: int, classes: list[int]) -> ENode:
     return ENode(n.kind, tuple(classes[c] for c in n.children), n.width, n.port, n.value, n.count)
 
 
+class _SortedMembers(dict):
+    """Class id -> the class's members sorted by node key, filled on first use."""
+
+    __slots__ = ("classes",)
+
+    def __init__(self, classes: dict[int, "_EClass"]):
+        super().__init__()
+        self.classes = classes
+
+    def __missing__(self, cid: int) -> list[ENode]:
+        hit = self[cid] = sorted(self.classes[cid].nodes, key=node_key)
+        return hit
+
+
 class _EClass:
     __slots__ = ("nodes", "parents", "width")
 
@@ -72,8 +86,8 @@ class EGraph:
         self.roots = RootInfo()
         # Bumped by any structural change; equal before/after means saturation.
         self.version = 0
-        self._sorted_cache: dict[int, list[ENode]] = {}
-        self._cache_version = -1
+        self._members = _SortedMembers(self._classes)
+        self._members_version = self.version
         # (creation index, rule) of the rewrite that introduced each node,
         # "design" for seeded nodes. A node re-canonicalized from older ones
         # keeps the tag of the earliest, so tags never follow set order.
@@ -221,15 +235,15 @@ class EGraph:
         return sorted(self._classes)
 
     def nodes_of(self, cid: int) -> list[ENode]:
-        cid = self.find(cid)
-        if self._cache_version != self.version:
-            self._sorted_cache.clear()
-            self._cache_version = self.version
-        hit = self._sorted_cache.get(cid)
-        if hit is None:
-            hit = sorted(self._classes[cid].nodes, key=node_key)
-            self._sorted_cache[cid] = hit
-        return hit
+        return self.sorted_members()[self.find(cid)]
+
+    def sorted_members(self) -> dict[int, list[ENode]]:
+        """Canonical class id -> its members sorted by node key (what
+        `nodes_of` returns); valid until the graph next changes."""
+        if self._members_version != self.version:
+            self._members = _SortedMembers(self._classes)
+            self._members_version = self.version
+        return self._members
 
     def class_width(self, cid: int) -> int:
         return self._classes[self.find(cid)].width

@@ -4,7 +4,8 @@ A mask written {w{s}} in datapath notation is materialized structurally as
 And(x, Rep(w, s)) where s is a single select bit replicated to x's width.
 """
 
-from collections.abc import Callable, Iterator
+import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .egraph import COUNT_CAP, EGraph, EGraphError, ENode
@@ -76,76 +77,137 @@ class Rewrite:
     rhs: Pattern
     cond: Callable[[EGraph, Subst], bool] | None = None
 
+    def __post_init__(self):
+        _validate_rule(self)
+
 
 # ---------------------------------------------------------------------------
 # matching
+#
+# Each distinct left side compiles once into one generated Python function:
+# nested loops, one per operator, mask or constant of the pattern, in the
+# order a depth-first match visits them. This is egg's e-matching machine
+# (after de Moura and Bjorner, "Efficient E-Matching for SMT Solvers", CADE
+# 2007) with its instructions turned into code; a loop interpreting them
+# costs CPython as much as the nested generators it would replace. Which
+# names are bound at each point is fixed by the pattern, so each bound class
+# or operator lives in one local variable: a repeated name compiles to an
+# equality test, and the substitution dict is built once per match. The
+# generated code reads e-nodes by index: kind 0, children 1, width 2,
+# value 4, count 5.
 
 
-def _match_children(g: EGraph, pats, classes, subst: Subst) -> Iterator[Subst]:
-    if not pats:
-        yield subst
-        return
-    for s in _match_class(g, pats[0], classes[0], subst):
-        yield from _match_children(g, pats[1:], classes[1:], s)
+def _compile(pat: Pattern) -> Callable[[EGraph], list[tuple[int, Subst]]]:
+    lines = [
+        "def match(g):",
+        "    find, width = g.find, g.class_width",
+        "    members = g.sorted_members()",
+        "    out = []",
+        "    seen = set()",
+        "    for cid in g.class_ids():",
+    ]
+    consts: dict[str, frozenset[str]] = {}
+    regs: dict[str, str] = {}  # bound name -> local holding its class or operator
+    reg_kinds: dict[str, frozenset[str]] = {}  # operator name -> operators it can hold
+    fresh = itertools.count(1).__next__
 
+    def emit(depth: int, line: str) -> None:
+        lines.append("    " * depth + line)
 
-def _match_class(g: EGraph, pat: Pattern, cid: int, subst: Subst) -> Iterator[Subst]:
-    cid = g.find(cid)
-    if isinstance(pat, PVar):
-        bound = subst.get(pat.name)
+    def class_reg(name: str) -> str | None:
+        if name in reg_kinds:
+            raise EGraphError(f"{name!r} names both an operator and a class")
+        return regs.get(name)
+
+    def bind_class(name: str, c: str, depth: int) -> int:
+        bound = class_reg(name)
         if bound is None:
-            yield {**subst, pat.name: cid}
-        elif g.find(bound) == cid:
-            yield subst
-        return
-    if isinstance(pat, PConst):
-        for n in g.nodes_of(cid):
-            if n.kind == "const" and n.width == pat.width and n.value == pat.value:
-                yield subst
-                return
-        return
-    if isinstance(pat, PRep):
-        of = subst.get(pat.width_of)
-        if of is None:
-            raise EGraphError(f"PRep width reference {pat.width_of!r} unbound at match time")
-        want = g.class_width(of)
-        for n in g.nodes_of(cid):
-            if n.kind == "rep" and n.count == want:
-                yield from _match_class(g, pat.child, n.children[0], subst)
-        return
-    if isinstance(pat, PNode):
-        if pat.bind is not None:
-            prev = subst.get(pat.bind)
-            if prev is not None and g.find(prev) != cid:
-                return
-            subst = {**subst, pat.bind: cid}
-        for n in g.nodes_of(cid):
-            if n.kind not in pat.kinds:
-                continue
-            s0 = subst
-            if pat.kind_var is not None:
-                bound_kind = s0.get(pat.kind_var)
-                if bound_kind is None:
-                    s0 = {**s0, pat.kind_var: n.kind}
-                elif bound_kind != n.kind:
-                    continue
-            yield from _match_children(g, pat.children, n.children, s0)
-        return
-    raise EGraphError(f"cannot match against {pat!r}")
+            regs[name] = c
+            return depth
+        emit(depth, f"if {c} == {bound}:")
+        return depth + 1
+
+    def step(goals: list[tuple[Pattern, str]], depth: int) -> None:
+        # goals: the patterns still to match, each with the local holding its
+        # canonical class; one loop per node pattern, nested in visit order
+        if not goals:
+            key = ", ".join(["cid", *regs.values()])
+            subst = ", ".join(f"{name!r}: {var}" for name, var in regs.items())
+            emit(depth, f"key = ({key},)")
+            emit(depth, "if key not in seen:")
+            emit(depth + 1, "seen.add(key)")
+            emit(depth + 1, f"out.append((cid, {{{subst}}}))")
+            return
+        (p, c), rest = goals[0], goals[1:]
+        n = f"n{fresh()}"
+        if isinstance(p, PVar):
+            step(rest, bind_class(p.name, c, depth))
+        elif isinstance(p, PConst):
+            emit(depth, f"for {n} in members[{c}]:")
+            emit(depth + 1, f"if {n}[0] == 'const' and {n}[2] == {p.width} and {n}[4] == {p.value}:")
+            step(rest, depth + 2)
+            emit(depth + 2, "break")
+        elif isinstance(p, PRep):
+            of = class_reg(p.width_of)
+            if of is None:
+                raise EGraphError(f"PRep width reference {p.width_of!r} unbound before the PRep")
+            emit(depth, f"w{n} = width({of})")
+            emit(depth, f"for {n} in members[{c}]:")
+            emit(depth + 1, f"if {n}[0] == 'rep' and {n}[5] == w{n}:")
+            emit(depth + 2, f"c{n} = find({n}[1][0])")
+            step([(p.child, f"c{n}"), *rest], depth + 2)
+        elif isinstance(p, PNode):
+            if p.bind is not None:
+                depth = bind_class(p.bind, c, depth)
+            emit(depth, f"for {n} in members[{c}]:")
+            kv = p.kind_var
+            if kv is not None and kv in regs and kv not in reg_kinds:
+                raise EGraphError(f"{kv!r} names both an operator and a class")
+            tests = []
+            if kv not in reg_kinds or not reg_kinds[kv] <= set(p.kinds):
+                if len(p.kinds) == 1:
+                    tests.append(f"{n}[0] == {p.kinds[0]!r}")
+                else:
+                    consts[f"K{n}"] = frozenset(p.kinds)
+                    tests.append(f"{n}[0] in K{n}")
+            if kv in reg_kinds:
+                tests.append(f"{n}[0] == {regs[kv]}")
+            emit(depth + 1, f"if {' and '.join(tests)}:")
+            if kv is not None and kv not in reg_kinds:
+                regs[kv], reg_kinds[kv] = f"k{n}", frozenset(p.kinds)
+                emit(depth + 2, f"k{n} = {n}[0]")
+            children = []
+            for i, child in enumerate(p.children):
+                emit(depth + 2, f"c{n}_{i} = find({n}[1][{i}])")
+                children.append((child, f"c{n}_{i}"))
+            step([*children, *rest], depth + 2)
+        else:
+            raise EGraphError(f"cannot match against {p!r}")
+
+    step([(pat, "cid")], 2)
+    lines.append("    return out")
+    namespace: dict[str, object] = dict(consts)
+    try:
+        exec(compile("\n".join(lines), f"<match {pat!r}>", "exec"), namespace)
+    except SyntaxError as e:  # CPython allows 20 nested loops
+        raise EGraphError(f"pattern too deep to compile: {e.msg}") from e
+    return namespace["match"]
+
+
+_MATCHERS: dict[Pattern, Callable[[EGraph], list[tuple[int, Subst]]]] = {}
+
+
+def _matcher(pat: Pattern) -> Callable[[EGraph], list[tuple[int, Subst]]]:
+    matcher = _MATCHERS.get(pat)
+    if matcher is None:
+        matcher = _MATCHERS[pat] = _compile(pat)
+    return matcher
 
 
 def ematch(g: EGraph, pat: Pattern) -> list[tuple[int, Subst]]:
     """All (class, substitution) pairs where the pattern matches, deduplicated,
     in deterministic class-id order."""
-    out = []
-    seen = set()
-    for cid in g.class_ids():
-        for subst in _match_class(g, pat, cid, {}):
-            key = (cid, tuple(sorted(subst.items())))
-            if key not in seen:
-                seen.add(key)
-                out.append((cid, subst))
-    return out
+    return _matcher(pat)(g)
 
 
 def instantiate(g: EGraph, pat: Pattern, subst: Subst) -> int:
@@ -289,8 +351,6 @@ def rule_library() -> list[Rewrite]:
                 _n("mux", s, _n(_OPS_ZERO, a, c, kind_var="op"), _n(_OPS_ZERO, b, c, kind_var="op")),
                 _n(_OPS_ZERO, _n("mux", s, a, b), c, kind_var="op")),
     ]
-    for r in rules:
-        _validate_rule(r)
     return rules
 
 
@@ -329,7 +389,24 @@ def _pattern_binds(pat: Pattern, out: set[str]) -> None:
             _pattern_binds(c, out)
 
 
+def _width_refs(pat: Pattern, out: set[str]) -> None:
+    if isinstance(pat, (PRep, PConstOf)):
+        out.add(pat.width_of)
+    if isinstance(pat, PRep):
+        _width_refs(pat.child, out)
+    elif isinstance(pat, PNode):
+        for c in pat.children:
+            _width_refs(c, out)
+
+
 def _validate_rule(r: Rewrite) -> None:
+    """Reject a left side that cannot be matched (a PConstOf, or a PRep whose
+    width name is bound only after it) and a right side that reads a name,
+    width references included, the left side does not bind."""
+    try:
+        _matcher(r.lhs)
+    except EGraphError as e:
+        raise EGraphError(f"rule {r.name}: left side: {e}") from None
     lhs_vars: list[str] = []
     _pattern_vars(r.lhs, lhs_vars)
     binds: set[str] = set(lhs_vars)
@@ -338,6 +415,7 @@ def _validate_rule(r: Rewrite) -> None:
     _pattern_vars(r.rhs, rhs_vars)
     rhs_refs = set(rhs_vars)
     _pattern_binds(r.rhs, rhs_refs)
+    _width_refs(r.rhs, rhs_refs)
     loose = rhs_refs - binds
     if loose:
         raise EGraphError(f"rule {r.name}: right side references unbound {sorted(loose)}")
@@ -373,7 +451,8 @@ def apply_rules(
 ) -> RunReport:
     """Run every rule each iteration until saturation or a limit.
 
-    Matches are collected against the frozen graph, then instantiated and
+    Matches are collected against the frozen graph, each distinct left side
+    matched once for all the rules that share it, then instantiated and
     merged as a batch, then congruence is rebuilt once per iteration. The
     graph only gains designs, so once the count reaches the cap it stays.
     """
@@ -382,9 +461,13 @@ def apply_rules(
     designs = 0
     for it in range(1, max_iters + 1):
         before = g.version
+        found: dict[Pattern, list[tuple[int, Subst]]] = {}
         matches: list[tuple[Rewrite, int, Subst]] = []
         for rule in rules:
-            for cid, subst in ematch(g, rule.lhs):
+            lhs_matches = found.get(rule.lhs)
+            if lhs_matches is None:
+                lhs_matches = found[rule.lhs] = ematch(g, rule.lhs)
+            for cid, subst in lhs_matches:
                 if rule.cond is None or rule.cond(g, subst):
                     matches.append((rule, cid, subst))
         for rule, cid, subst in matches:

@@ -15,6 +15,7 @@ from powersat.rewrite import (
     PNode,
     PRep,
     PVar,
+    Rewrite,
     apply_rules,
     ematch,
     instantiate,
@@ -165,6 +166,32 @@ def test_rep_width_must_be_bound_before_the_rep():
     g, _, _ = seeded("(module m (input p 4) (input s 1) (output y (and (rep4 s) p)))")
     with pytest.raises(EGraphError, match="unbound"):
         ematch(g, _n("and", PRep(PVar("s"), "a"), PVar("a")))
+
+
+def test_compile_errors_are_egraph_errors():
+    g, _, _ = seeded(FIG1)
+    with pytest.raises(EGraphError, match="both an operator and a class"):
+        ematch(g, _n(("add", "mul"), PVar("op"), PVar("b"), kind_var="op"))
+    deep = PVar("a")
+    for _ in range(20):  # one loop per level, past CPython's 20 nested blocks
+        deep = _n("not", deep)
+    with pytest.raises(EGraphError, match="too deep"):
+        ematch(g, deep)
+
+
+def test_rule_width_references_must_be_bound():
+    a = PVar("a")
+    with pytest.raises(EGraphError, match=r"unbound \['zz'\]"):
+        Rewrite("bad", "boolean", _n("not", a), PConstOf("zz", 0))
+    with pytest.raises(EGraphError, match=r"unbound \['zz'\]"):
+        Rewrite("bad", "boolean", _n("not", a), _n("and", a, PRep(a, "zz")))
+
+
+def test_rule_left_rep_width_must_be_bound_before_it():
+    a, s = PVar("a"), PVar("s")
+    with pytest.raises(EGraphError, match="rule bad: left side: PRep width reference 'a'"):
+        Rewrite("bad", "boolean", _n("and", PRep(s, "a"), a), a)
+    Rewrite("good", "boolean", _n("and", a, PRep(s, "a")), a)
 
 
 def test_instantiate_reuses_bound_classes():
