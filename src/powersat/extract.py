@@ -7,6 +7,7 @@ bound with the original design seeding the incumbent, so a feasible answer
 always exists and the objective can only improve on the baseline.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -83,12 +84,13 @@ def _closure(g: EGraph, choice: dict[int, ENode], roots: list[int]) -> dict[int,
 
 
 def selection_cost(problem: SelectionProblem, choice: dict[int, ENode]) -> float:
-    total = 0.0
+    """The correctly rounded sum of the chosen nodes' scores, so it depends on
+    the selection only, not on the order of `choice`."""
+    picked = []
     for cid, n in choice.items():
-        per = {key: (s, nd) for s, key, nd in problem.candidates[problem.g.find(cid)]}
-        s, _ = per[node_key(n)]
-        total += s
-    return total
+        per = {key: s for s, key, _ in problem.candidates[problem.g.find(cid)]}
+        picked.append(per[node_key(n)])
+    return math.fsum(picked)
 
 
 # A search row: (score, node, classes choosing the node makes needed that
@@ -217,7 +219,8 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
     `_bound_tables`). Ties on the objective resolve to the selection that is
     lexicographically smallest by (class id, node key). The budget covers
     the whole call, set-up included; if it is spent when set-up ends, the
-    incumbent comes back unproven.
+    incumbent comes back unproven. Pruning compares costs summed along the
+    search path; the objective returned is `selection_cost` of the answer.
 
     The search runs on an explicit stack, so its depth is not limited by
     Python's recursion limit. One frame per decided class holds
@@ -325,7 +328,9 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
             break  # no frame left: the search is exhausted
     if best_choice is None:
         raise EGraphError("search exhausted with no feasible selection")
-    return ExtractionSolution(best_choice, best_cost, SolverStats(explored, not out_of_time))
+    # best_cost was summed along the search path; report the selection's own sum
+    return ExtractionSolution(best_choice, selection_cost(problem, best_choice),
+                              SolverStats(explored, not out_of_time))
 
 
 def reconstruct(g: EGraph, solution: ExtractionSolution, base: Design) -> Design:

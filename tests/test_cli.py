@@ -267,7 +267,7 @@ def test_selection_deeper_than_the_recursion_limit_exits_0(tmp_path, capsys):
     cfg.write_text(json.dumps({"cycles": 64, "seed": 1,
                                "inputs": {p: {"toggle_rate": 0.5} for p, _ in d.inputs}}))
     rep = tmp_path / "report.json"
-    rc = invoke("--input", dsl, "--stimuli", cfg, "--max-iters", 1, "--time-budget", 0.2,
+    rc = invoke("--input", dsl, "--stimuli", cfg, "--max-iters", 1,
                 "--output", tmp_path / "opt.dsl", "--report", rep)
     assert rc == 0, capsys.readouterr().err
     assert json.loads(rep.read_text())["solver"]["proven_optimal"] is True

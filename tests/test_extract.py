@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -363,7 +364,7 @@ def test_selection_deeper_than_the_recursion_limit():
     problem = build_problem(g, scores, incumbent=incumbent)
     assert g.class_count() == 2100
 
-    sol = solve(problem, time_budget=0.2)
+    sol = solve(problem)
     # commuted adders are twin rows, searched once: the tree is one path wide
     assert sol.stats.proven_optimal
     assert sol.stats.explored > 2100
@@ -417,6 +418,31 @@ def test_lp_text_shape():
     lvl_rows = [ln for ln in text.splitlines() if ln.lstrip().startswith("lvl_x_")]
     assert len(lvl_rows) == 1
     assert lp_text(build_problem(g, zero_scores(g))) == text
+
+
+@pytest.mark.parametrize("cfg", benchmarks.config_names())
+def test_objective_is_the_sum_of_its_own_selection(cfg):
+    # Summed along the search path, or over the dict in insertion order, the
+    # objective and the baseline differed in the last digit from their own
+    # selection's correctly rounded sum on all four of these cells.
+    d = benchmarks.design("pipe_mux_add_tree")
+    g = EGraph()
+    g.add_expr(d)
+    apply_rules(g, rules_by_name(None), max_iters=2)
+    stim = generate_stimuli(benchmarks.stimuli_config("pipe_mux_add_tree", cfg), d)
+    rep = choose_representatives(g, origin=g.design_enodes(d))
+    scores = class_scores(g, graph_activity(simulate(g, rep, stim)))
+    problem = build_problem(g, scores, incumbent=seed_from_design(g, d))
+    seed = _closure(g, problem.incumbent, problem.roots)
+
+    def own_sum(choice):
+        return math.fsum(scores[cid][n] for cid, n in choice.items())
+
+    assert selection_cost(problem, seed) == own_sum(seed)
+    assert selection_cost(problem, dict(reversed(seed.items()))) == own_sum(seed)
+    sol = solve(problem)
+    assert sol.stats.proven_optimal
+    assert sol.objective == own_sum(sol.choice)
 
 
 # Search-tree pins: the objective, node count, optimality flag and selection
