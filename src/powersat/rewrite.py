@@ -4,6 +4,7 @@ A mask written {w{s}} in datapath notation is materialized structurally as
 And(x, Rep(w, s)) where s is a single select bit replicated to x's width.
 """
 
+import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -106,16 +107,16 @@ def _compile(pat: Pattern) -> Callable[[EGraph], list[tuple[int, Subst]]]:
         "    seen = set()",
         "    for cid in g.class_ids():",
     ]
-    consts: dict[str, frozenset[str]] = {}
+    namespace: dict[str, object] = {}  # the generated function's globals
     regs: dict[str, str] = {}  # bound name -> local holding its class or operator
-    reg_kinds: dict[str, frozenset[str]] = {}  # operator name -> operators it can hold
+    operators: set[str] = set()  # the names in regs that hold an operator
     fresh = itertools.count(1).__next__
 
     def emit(depth: int, line: str) -> None:
         lines.append("    " * depth + line)
 
     def class_reg(name: str) -> str | None:
-        if name in reg_kinds:
+        if name in operators:
             raise EGraphError(f"{name!r} names both an operator and a class")
         return regs.get(name)
 
@@ -159,22 +160,21 @@ def _compile(pat: Pattern) -> Callable[[EGraph], list[tuple[int, Subst]]]:
         elif isinstance(p, PNode):
             if p.bind is not None:
                 depth = bind_class(p.bind, c, depth)
-            emit(depth, f"for {n} in members[{c}]:")
             kv = p.kind_var
-            if kv is not None and kv in regs and kv not in reg_kinds:
+            if kv is not None and kv in regs and kv not in operators:
                 raise EGraphError(f"{kv!r} names both an operator and a class")
-            tests = []
-            if kv not in reg_kinds or not reg_kinds[kv] <= set(p.kinds):
-                if len(p.kinds) == 1:
-                    tests.append(f"{n}[0] == {p.kinds[0]!r}")
-                else:
-                    consts[f"K{n}"] = frozenset(p.kinds)
-                    tests.append(f"{n}[0] in K{n}")
-            if kv in reg_kinds:
-                tests.append(f"{n}[0] == {regs[kv]}")
-            emit(depth + 1, f"if {' and '.join(tests)}:")
-            if kv is not None and kv not in reg_kinds:
-                regs[kv], reg_kinds[kv] = f"k{n}", frozenset(p.kinds)
+            if len(p.kinds) == 1:
+                test = f"{n}[0] == {p.kinds[0]!r}"
+            else:
+                namespace[f"K{n}"] = frozenset(p.kinds)
+                test = f"{n}[0] in K{n}"
+            if kv in operators:
+                test += f" and {n}[0] == {regs[kv]}"
+            emit(depth, f"for {n} in members[{c}]:")
+            emit(depth + 1, f"if {test}:")
+            if kv is not None and kv not in operators:
+                operators.add(kv)
+                regs[kv] = f"k{n}"
                 emit(depth + 2, f"k{n} = {n}[0]")
             children = []
             for i, child in enumerate(p.children):
@@ -186,7 +186,6 @@ def _compile(pat: Pattern) -> Callable[[EGraph], list[tuple[int, Subst]]]:
 
     step([(pat, "cid")], 2)
     lines.append("    return out")
-    namespace: dict[str, object] = dict(consts)
     try:
         exec(compile("\n".join(lines), f"<match {pat!r}>", "exec"), namespace)
     except SyntaxError as e:  # CPython allows 20 nested loops
@@ -194,14 +193,8 @@ def _compile(pat: Pattern) -> Callable[[EGraph], list[tuple[int, Subst]]]:
     return namespace["match"]
 
 
-_MATCHERS: dict[Pattern, Callable[[EGraph], list[tuple[int, Subst]]]] = {}
-
-
-def _matcher(pat: Pattern) -> Callable[[EGraph], list[tuple[int, Subst]]]:
-    matcher = _MATCHERS.get(pat)
-    if matcher is None:
-        matcher = _MATCHERS[pat] = _compile(pat)
-    return matcher
+# Patterns are frozen values, so each distinct one compiles once.
+_matcher = functools.cache(_compile)
 
 
 def ematch(g: EGraph, pat: Pattern) -> list[tuple[int, Subst]]:
