@@ -328,7 +328,6 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
             break  # no frame left: the search is exhausted
     if best_choice is None:
         raise EGraphError("search exhausted with no feasible selection")
-    # best_cost was summed along the search path; report the selection's own sum
     return ExtractionSolution(best_choice, selection_cost(problem, best_choice),
                               SolverStats(explored, not out_of_time))
 
