@@ -29,7 +29,7 @@ from .rewrite import apply_rules, rules_by_name
 from .simulate import SimulationError, choose_representatives, graph_activity, simulate
 from .stimulus import StimulusConfig, StimulusError, generate_stimuli
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -155,7 +155,10 @@ def run(args: argparse.Namespace) -> int:
         "optimized_objective": solution.objective,
         "predicted_relative_change": predicted,
         "solver": {"explored": solution.stats.explored,
-                   "proven_optimal": solution.stats.proven_optimal},
+                   "proven_optimal": solution.stats.proven_optimal,
+                   "start": {"source": solution.stats.start,
+                             "objective": solution.stats.start_objective},
+                   "root_bound": solution.stats.root_bound},
         "selection": selection,
         "equivalence": equivalence,
         "wall_clock": {k: round(v, 6) for k, v in clock.items()},

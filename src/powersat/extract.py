@@ -35,6 +35,14 @@ class SelectionProblem:
 class SolverStats:
     explored: int = 0
     proven_optimal: bool = False
+    # The incumbent the search starts from: "design" (the problem's
+    # incumbent) or "greedy" (see `_greedy`), and its objective.
+    start: str | None = None
+    start_objective: float | None = None
+    # The bound at the root, the sum of h over the roots' forced sets; None
+    # if set-up ran out of budget. An unproven run is within objective
+    # minus root_bound of the optimum.
+    root_bound: float | None = None
 
 
 @dataclass
@@ -103,16 +111,112 @@ def _late(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() > deadline
 
 
-def _bound_tables(
+def _search_rows(
     problem: SelectionProblem, roots: list[int], deadline: float | None
-) -> tuple[dict[int, list[_Row]], dict[int, tuple[int, ...]], dict[int, float]] | None:
-    """Per class: search rows, forced set and bound h. None once the
-    deadline passes.
+) -> tuple[dict[int, list[_Row]], list[tuple[list[int], bool]], dict[int, int], set[int]] | None:
+    """Per class: search rows, made once per candidate with its canonical
+    child classes. Then the strongly connected components of the class
+    graph, children first, each with whether it holds a cycle; each class's
+    parent class while it has only one; and the classes that cannot be
+    exclusive (see `_bound_tables`). None once the deadline passes.
 
-    Rows are made once per candidate, with its canonical child classes. A
-    row with the score, child classes and register flag of an earlier row
+    A row with the score, child classes and register flag of an earlier row
     is its twin: its subtree is a copy whose leaves differ only in this
     class's node, which sorts later by node key, so it is left out.
+    """
+    find = problem.g.find
+    rows_of: dict[int, list[_Row]] = {}
+    parent: dict[int, int] = {}  # class -> its parent class, while it has one
+    shared = set(roots)  # classes that cannot be exclusive
+    for cid, ranked in problem.candidates.items():
+        if _late(deadline):
+            return None
+        out, seen = [], set()
+        for score, _key, n in ranked:
+            children = tuple({find(c) for c in n.children})
+            twin = (score, frozenset(children), n.kind == "reg")
+            if twin in seen:
+                continue
+            seen.add(twin)
+            out.append((score, n, children, () if n.kind == "reg" else children))
+            for d in children:
+                if parent.setdefault(d, cid) != cid or d == cid:
+                    shared.add(d)
+        rows_of[cid] = out
+    succ = {cid: [d for row in out for d in row[2]] for cid, out in rows_of.items()}
+    return rows_of, [(comp, closes_cycle(comp, succ)) for comp in strongly_connected(succ)], \
+        parent, shared
+
+
+def _greedy(
+    rows_of: dict[int, list[_Row]], order: list[tuple[list[int], bool]], roots: list[int],
+    deadline: float | None,
+) -> dict[int, ENode] | None:
+    """egg's greedy extraction over the search rows: the closure from the
+    roots of each class's cheapest row by tree cost, or None.
+
+    A class's tree cost is the least, over its rows, of the row's score
+    plus the tree costs of its child classes, so a class read twice is
+    counted twice. Costs are computed children first over the components,
+    sweeping a cyclic one until no cost falls; a class keeps the first row
+    that lowered its cost. With scores of at least 0 a kept row costs at
+    least each of its children, whose costs only fall afterwards, so the
+    picks close no cycle. The answer is still rejected if it holds one,
+    register edges included: the search forbids combinational cycles and
+    `reconstruct` cannot build register loops. It is also None if a root
+    has no finite cost, or once the deadline passes.
+    """
+    cost: dict[int, float] = {}
+    pick: dict[int, _Row] = {}
+    inf = math.inf
+    for comp, cyclic in order:
+        if _late(deadline):
+            return None
+        for _ in range(len(comp) if cyclic else 1):
+            fell = False
+            for c in comp:
+                best = cost.get(c, inf)
+                for row in rows_of[c]:
+                    if row[0] >= best:
+                        break  # rows are sorted by score; children add at least 0
+                    v = row[0] + sum([cost.get(d, inf) for d in row[2]])
+                    if v < best:
+                        best = v
+                        pick[c] = row
+                        fell = True
+                cost[c] = best
+            if not fell:
+                break
+    chosen: dict[int, ENode] = {}
+    reads: dict[int, tuple[int, ...]] = {}
+    stack = list(roots)
+    while stack:
+        c = stack.pop()
+        if c in reads:
+            continue
+        row = pick.get(c)
+        if row is None:
+            return None
+        chosen[c], reads[c] = row[1], row[2]
+        stack.extend(row[2])
+    if any(closes_cycle(comp, reads) for comp in strongly_connected(reads)):
+        return None
+    return chosen
+
+
+def greedy_selection(problem: SelectionProblem) -> dict[int, ENode] | None:
+    """The greedy selection `solve` starts from when it beats the
+    incumbent (see `_greedy`); None if it has a cycle or misses a root."""
+    roots = sorted(set(problem.roots))
+    rows_of, order, _parent, _shared = _search_rows(problem, roots, None)
+    return _greedy(rows_of, order, roots, None)
+
+
+def _bound_tables(
+    rows_of: dict[int, list[_Row]], order: list[tuple[list[int], bool]], parent: dict[int, int],
+    shared: set[int], deadline: float | None,
+) -> tuple[dict[int, tuple[int, ...]], dict[int, float]] | None:
+    """Per class: forced set and bound h. None once the deadline passes.
 
     forced(c) = {c} ∪ ⋂_{rows n of c} ⋃_{d ∈ children(n)} forced(d) holds
     the classes every selection containing c contains, as a tuple that
@@ -136,26 +240,6 @@ def _bound_tables(
     they add to the class's forced set, since that set is needed before
     the class is decided.
     """
-    find = problem.g.find
-    rows_of: dict[int, list[_Row]] = {}
-    parent: dict[int, int] = {}  # class -> its parent class, while it has one
-    shared = set(roots)  # classes that cannot be exclusive
-    for cid, ranked in problem.candidates.items():
-        if _late(deadline):
-            return None
-        out, seen = [], set()
-        for score, _key, n in ranked:
-            children = tuple({find(c) for c in n.children})
-            twin = (score, frozenset(children), n.kind == "reg")
-            if twin in seen:
-                continue
-            seen.add(twin)
-            out.append((score, n, children, () if n.kind == "reg" else children))
-            for d in children:
-                if parent.setdefault(d, cid) != cid or d == cid:
-                    shared.add(d)
-        rows_of[cid] = out
-
     forced: dict[int, tuple[int, ...]] = {}
     h: dict[int, float] = {}
 
@@ -175,14 +259,12 @@ def _bound_tables(
                                if d not in shared and parent[d] == c and d not in mine)
                    for score, _n, children, _comb in rows_of[c])
 
-    succ = {cid: [d for row in out for d in row[2]] for cid, out in rows_of.items()}
-    for comp in strongly_connected(succ):
+    for comp, cyclic in order:
         if _late(deadline):
             return None
         for c in comp:
             forced[c] = (c,)
             h[c] = rows_of[c][0][0]
-        cyclic = closes_cycle(comp, succ)
         grew = True
         while grew:
             grew = False
@@ -204,7 +286,7 @@ def _bound_tables(
             mine = set(forced[c])
             rows_of[c] = [(score, n, tuple({x for d in children for x in forced[d]} - mine), comb)
                           for score, n, children, comb in rows_of[c]]
-    return rows_of, forced, h
+    return forced, h
 
 
 def solve(problem: SelectionProblem, time_budget: float | None = None) -> ExtractionSolution:
@@ -217,10 +299,14 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
     h: the cheapest cost of the class together with its exclusive
     descendants, classes that only it can make needed (see
     `_bound_tables`). Ties on the objective resolve to the selection that is
-    lexicographically smallest by (class id, node key). The budget covers
-    the whole call, set-up included; if it is spent when set-up ends, the
-    incumbent comes back unproven. Pruning compares costs summed along the
-    search path; the objective returned is `selection_cost` of the answer.
+    lexicographically smallest by (class id, node key). The search starts
+    from the problem's incumbent, or from egg's greedy selection (see
+    `_greedy`) if that is cheaper by more than the 1e-9 tie tolerance; a
+    better start only prunes more, since ties are still explored. The
+    budget covers the whole call, set-up included; if it is spent when
+    set-up ends, the start comes back unproven. Pruning compares costs
+    summed along the search path; the objective returned is
+    `selection_cost` of the answer.
 
     The search runs on an explicit stack, so its depth is not limited by
     Python's recursion limit. One frame per decided class holds
@@ -238,18 +324,32 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
     def sel_key(choice: dict[int, ENode]) -> tuple:
         return tuple(sorted((cid, node_key(n)) for cid, n in choice.items()))
 
+    start = None
     if problem.incumbent is not None:
         seeded = _closure(problem.g, problem.incumbent, roots)
         best_choice = seeded
         best_cost = selection_cost(problem, seeded)
         best_key = sel_key(seeded)
+        start = "design"
 
-    tables = _bound_tables(problem, roots, deadline)
+    tables = None
+    rows = _search_rows(problem, roots, deadline)
+    if rows is not None:
+        rows_of, order, parent, shared = rows
+        greedy = _greedy(rows_of, order, roots, deadline)
+        if greedy is not None:
+            greedy_cost = selection_cost(problem, greedy)
+            if greedy_cost < best_cost - 1e-9:
+                best_choice, best_cost, best_key = greedy, greedy_cost, sel_key(greedy)
+                start = "greedy"
+        tables = _bound_tables(rows_of, order, parent, shared, deadline)
+    start_objective = best_cost if best_choice is not None else None
     if tables is None or _late(deadline):
         if best_choice is None:
             raise EGraphError("time budget spent before any feasible selection was found")
-        return ExtractionSolution(best_choice, best_cost, SolverStats(0, False))
-    rows_of, forced, h = tables
+        return ExtractionSolution(best_choice, best_cost,
+                                  SolverStats(0, False, start, start_objective))
+    forced, h = tables
 
     choice: dict[int, ENode] = {}
     edges: dict[int, tuple[int, ...]] = {}  # decided class -> its combinational children
@@ -270,6 +370,7 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
     undecided = {c for r in roots for c in forced[r]}
     frames: list[list] = []
     cost, lb = 0.0, sum(h[c] for c in undecided)
+    root_bound = lb
     explored = 0
     out_of_time = False
     while True:
@@ -329,7 +430,8 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
     if best_choice is None:
         raise EGraphError("search exhausted with no feasible selection")
     return ExtractionSolution(best_choice, selection_cost(problem, best_choice),
-                              SolverStats(explored, not out_of_time))
+                              SolverStats(explored, not out_of_time, start, start_objective,
+                                          root_bound))
 
 
 def reconstruct(g: EGraph, solution: ExtractionSolution, base: Design) -> Design:

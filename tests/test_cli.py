@@ -63,7 +63,7 @@ def test_end_to_end_power_run(fig1, tmp_path, capsys):
 
     report = json.loads(rep.read_text())
     assert set(report) == REPORT_KEYS
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["mode"] == "power"
     assert report["equivalence"]["verdict"] == "pass"
     assert report["optimized_objective"] <= report["baseline_objective"]

@@ -449,43 +449,58 @@ def test_objective_is_the_sum_of_its_own_selection(cfg):
 # digest of the branch and bound on corpus cells (8 rewrite iterations, 2 for
 # add-trees). The digest is the sha256 of the report's selection as JSON
 # [[class, node], ...]. Each cell reads (design, config, objective, nodes
-# explored when twin rows were still searched, nodes explored, digest); the
-# test ids carry the first four. A solver change that keeps the search tree
-# keeps every field; one that prunes more (as skipping twin rows and the
-# forced-set, exclusive-descendant bound did) changes the node count and must
-# keep the objective, optimality and digest. A count can also rise a little:
-# forced classes become needed early, which changes the order in which
-# classes are decided (seq_reg went 37 -> 39 and 44 -> 46 with that bound).
+# explored when twin rows were still searched, nodes explored, start source,
+# start objective, root bound, digest); the test ids carry the first four. A
+# solver change that keeps the search tree keeps every field; one that prunes
+# more (as skipping twin rows, the forced-set, exclusive-descendant bound and
+# the greedy start did) changes the node count and must keep the objective,
+# optimality and digest. A count can also rise a little: forced classes
+# become needed early, which changes the order in which classes are decided
+# (seq_reg went 37 -> 39 and 44 -> 46 with that bound). The greedy start can
+# be a different selection of the optimum's cost (fig1's differs from it in
+# the last digit); ties are still searched, so the digest stays.
 SEARCH_TREE_PINS = [
-    ("fig1_op_isolate", "cfg1", 124.18234117058527, 6045, 1556,
+    ("fig1_op_isolate", "cfg1", 124.18234117058527, 6045, 789,
+     "greedy", 124.18234117058529, 13.019009504752376,
      "7a18c3ba979f488fa08efe22d7e9fc44ceff9a7bc9408250ebebdc47e9ecb5f8"),
-    ("fig1_op_isolate", "cfg2", 124.18234117058527, 6045, 1556,
+    ("fig1_op_isolate", "cfg2", 124.18234117058527, 6045, 789,
+     "greedy", 124.18234117058529, 13.019009504752376,
      "7a18c3ba979f488fa08efe22d7e9fc44ceff9a7bc9408250ebebdc47e9ecb5f8"),
-    ("fig1_op_isolate", "cfg3", 151.27434550608635, 3218, 811,
+    ("fig1_op_isolate", "cfg3", 151.27434550608635, 3218, 581,
+     "greedy", 151.27434550608638, 21.46335667833917,
      "469d1d569b8ac7cf0a435135c31a565a975749944fc26dcd94534d9ed36f859f"),
-    ("fig1_op_isolate", "cfg4", 151.27434550608635, 3218, 811,
+    ("fig1_op_isolate", "cfg4", 151.27434550608635, 3218, 581,
+     "greedy", 151.27434550608638, 21.46335667833917,
      "469d1d569b8ac7cf0a435135c31a565a975749944fc26dcd94534d9ed36f859f"),
-    ("seq_reg", "cfg1", 7.560780390195099, 56, 39,
+    ("seq_reg", "cfg1", 7.560780390195099, 56, 32,
+     "greedy", 7.560780390195098, 3.278972819743205,
      "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
-    ("seq_reg", "cfg2", 12.3818575954644, 63, 46,
+    ("seq_reg", "cfg2", 12.3818575954644, 63, 17,
+     "greedy", 12.3818575954644, 7.668500917125229,
      "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
-    ("seq_reg", "cfg3", 12.3818575954644, 63, 46,
+    ("seq_reg", "cfg3", 12.3818575954644, 63, 17,
+     "greedy", 12.3818575954644, 7.668500917125229,
      "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
-    ("seq_reg", "cfg4", 7.560780390195099, 56, 39,
+    ("seq_reg", "cfg4", 7.560780390195099, 56, 32,
+     "greedy", 7.560780390195098, 3.278972819743205,
      "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
     ("dual_op_alu", "cfg3", 66.01579956644991, 21998, 2041,
+     "design", 66.0157995664499, 10.363806903451726,
      "e5c2b5d57b3856512ec59081d763bf9c0da5bde2a8df07923e7da597efb127f5"),
     ("dual_op_alu", "cfg4", 66.01579956644991, 21998, 2041,
+     "design", 66.0157995664499, 10.363806903451726,
      "e5c2b5d57b3856512ec59081d763bf9c0da5bde2a8df07923e7da597efb127f5"),
     ("comb_mux_add_tree", "cfg3", 101.37006003001501, 41479, 3089,
+     "design", 101.37006003001501, 13.817783891945972,
      "9d563fe2241642ad9a1eebef30b3b91dfd1d69ca14ae99801aae1f703c81908e"),
 ]
 
 
-@pytest.mark.parametrize("name,cfg,objective,with_twins,explored,selection", SEARCH_TREE_PINS,
-                         ids=[f"{n}-{c}-{o}-{t}" for n, c, o, t, _, _ in SEARCH_TREE_PINS])
-def test_search_tree_is_pinned(name, cfg, objective, with_twins, explored, selection,
-                               tmp_path, capsys):
+@pytest.mark.parametrize("name,cfg,objective,with_twins,explored,start,start_objective,"
+                         "root_bound,selection", SEARCH_TREE_PINS,
+                         ids=[f"{n}-{c}-{o}-{t}" for n, c, o, t, *_ in SEARCH_TREE_PINS])
+def test_search_tree_is_pinned(name, cfg, objective, with_twins, explored, start,
+                               start_objective, root_bound, selection, tmp_path, capsys):
     report = tmp_path / "report.json"
     iters = 2 if name.endswith("add_tree") else 8
     rc = cli.main(["--input", str(benchmarks.design_path(name)),
@@ -494,7 +509,11 @@ def test_search_tree_is_pinned(name, cfg, objective, with_twins, explored, selec
     assert rc == 0
     got = json.loads(report.read_text())
     assert got["optimized_objective"] == pytest.approx(objective, rel=1e-12)
-    assert got["solver"] == {"explored": explored, "proven_optimal": True}
+    assert got["solver"] == {
+        "explored": explored, "proven_optimal": True,
+        "start": {"source": start, "objective": pytest.approx(start_objective, rel=1e-12)},
+        "root_bound": pytest.approx(root_bound, rel=1e-12),
+    }
     assert explored <= with_twins
     picked = json.dumps([[s["class"], s["node"]] for s in got["selection"]])
     assert hashlib.sha256(picked.encode()).hexdigest() == selection
