@@ -9,6 +9,7 @@ always exists and the objective can only improve on the baseline.
 
 import math
 import time
+from heapq import heappop, heappush
 from dataclasses import dataclass, field
 
 from .egraph import (
@@ -311,8 +312,9 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
     The search runs on an explicit stack, so its depth is not limited by
     Python's recursion limit. One frame per decided class holds
     [class, candidate rows, next row, cost, bound of the other undecided
-    classes, classes the current row made needed]; the undecided set and
-    the selection are updated in place and undone on backtrack.
+    classes, classes the current row made needed]; the undecided set, a
+    heap that yields its least class, and the selection are updated in
+    place and undone on backtrack.
     """
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     roots = sorted(set(problem.roots))
@@ -368,6 +370,10 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
         return False
 
     undecided = {c for r in roots for c in forced[r]}
+    # A min-heap holding every undecided class once, and classes decided
+    # since they were pushed, which are skipped when they come off it.
+    queue = sorted(undecided)
+    queued = set(undecided)
     frames: list[list] = []
     cost, lb = 0.0, sum(h[c] for c in undecided)
     root_bound = lb
@@ -387,7 +393,11 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
                     best_cost = cost
                     best_key = key
         elif cost + lb <= best_cost + 1e-9:
-            cid = min(undecided)
+            cid = heappop(queue)
+            while cid not in undecided:
+                queued.remove(cid)
+                cid = heappop(queue)
+            queued.remove(cid)
             undecided.remove(cid)
             frames.append([cid, rows_of[cid], 0, cost, lb - h[cid], ()])
         # Move to the next child of the deepest frame that has one left.
@@ -416,6 +426,9 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
                         undecided.add(x)
                         grown.append(x)
                         lb += h[x]
+                        if x not in queued:
+                            queued.add(x)
+                            heappush(queue, x)
                 frame[2] = i
                 frame[5] = grown
                 cost = base + score
@@ -425,6 +438,8 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
                 break
             frames.pop()
             undecided.add(cid)
+            queued.add(cid)
+            heappush(queue, cid)
         else:
             break  # no frame left: the search is exhausted
     if best_choice is None:
