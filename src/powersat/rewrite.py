@@ -204,20 +204,23 @@ def ematch(g: EGraph, pat: Pattern) -> list[tuple[int, Subst]]:
 
 
 def instantiate(g: EGraph, pat: Pattern, subst: Subst) -> int:
-    """Build a pattern into the graph under a substitution; returns its class."""
+    """Build a pattern into the graph under a substitution; returns its
+    canonical class. Every node built has canonical children, since each
+    child is such a return value, so it skips `EGraph.add`'s
+    canonicalization."""
     if isinstance(pat, PVar):
         return g.find(subst[pat.name])
     if isinstance(pat, PConst):
-        return g.add(ENode("const", (), pat.width, value=pat.value))
+        return g.add_canonical(ENode("const", (), pat.width, value=pat.value))
     if isinstance(pat, PConstOf):
         w = g.class_width(subst[pat.width_of])
         v = (1 << w) - 1 if pat.value == "ones" else int(pat.value)
-        return g.add(ENode("const", (), w, value=v))
+        return g.add_canonical(ENode("const", (), w, value=v))
     if isinstance(pat, PRep):
         child = instantiate(g, pat.child, subst)
         count = g.class_width(subst[pat.width_of])
         width = count * g.class_width(child)
-        return g.add(ENode("rep", (child,), width, count=count))
+        return g.add_canonical(ENode("rep", (child,), width, count=count))
     if isinstance(pat, PNode):
         kind = subst[pat.kind_var] if pat.kind_var is not None else pat.kinds[0]
         children = tuple([instantiate(g, c, subst) for c in pat.children])
@@ -226,7 +229,7 @@ def instantiate(g: EGraph, pat: Pattern, subst: Subst) -> int:
             width = infer_width(kind, widths)
         except WidthError as e:
             raise EGraphError(f"rewrite built an ill-formed {kind} node: {e}") from e
-        return g.add(ENode(kind, children, width))
+        return g.add_canonical(ENode(kind, children, width))
     raise EGraphError(f"cannot instantiate {pat!r}")
 
 
@@ -448,6 +451,7 @@ def apply_rules(
     matched once for all the rules that share it, then instantiated and
     merged as a batch, then congruence is rebuilt once per iteration. The
     graph only gains designs, so once the count reaches the cap it stays.
+    The hashcons is compacted once at the end.
     """
     g.rebuild()
     report = RunReport()
@@ -484,5 +488,6 @@ def apply_rules(
         if g.version == before:
             report.stop_reason = "saturated"
             break
+    g.compact_hashcons()
     return report
 

@@ -166,6 +166,14 @@ def test_width_stored_per_class():
     assert widths == [1, 8, 8, 16, 16, 16]
 
 
+def test_width_of_a_merged_away_id():
+    g = EGraph()
+    a = g.add(ENode("var", (), 4, "a"))
+    b = g.add(ENode("var", (), 4, "b"))
+    gone = b if g.merge(a, b) == a else a
+    assert g.class_width(gone) == 4
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_random_merges_keep_invariants(seed):
@@ -208,3 +216,13 @@ def test_rewriting_keeps_invariants(seed, iters):
         for n in g.nodes_of(cid):
             assert g.canonicalize(n) == n
             assert seen.setdefault(n, cid) == cid
+
+
+def test_rewriting_leaves_only_live_nodes_in_the_hashcons():
+    # on this design repairs leave 2 keys with merged-away children beside
+    # 56 live nodes; apply_rules drops them once it is done
+    g = EGraph()
+    g.add_expr(random_design(random.Random("mixed/113"), max_nodes=24, kinds=EVERY_KIND))
+    apply_rules(g, rule_library(), max_iters=1)
+    assert len(g._hashcons) == g.enode_count() == 56
+    g.check_invariants()
