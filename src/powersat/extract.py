@@ -4,7 +4,8 @@ Selecting a node makes every child class needed. Combinational child edges
 must respect a topological order; register data and enable edges read state
 from the previous cycle and are exempt. Solved by depth-first branch and
 bound with the original design seeding the incumbent, so a feasible answer
-always exists and the objective can only improve on the baseline.
+always exists and the objective can only improve on the baseline. egg's
+greedy selection replaces that incumbent when it is cheaper.
 """
 
 import math
@@ -160,12 +161,15 @@ def _greedy(
     plus the tree costs of its child classes, so a class read twice is
     counted twice. Costs are computed children first over the components,
     sweeping a cyclic one until no cost falls; a class keeps the first row
-    that lowered its cost. With scores of at least 0 a kept row costs at
-    least each of its children, whose costs only fall afterwards, so the
-    picks close no cycle. The answer is still rejected if it holds one,
-    register edges included: the search forbids combinational cycles and
-    `reconstruct` cannot build register loops. It is also None if a root
-    has no finite cost, or once the deadline passes.
+    that lowered its cost. With scores of at least 0 each sweep settles one
+    more class, so one sweep per member and one to confirm suffice, and a
+    kept row costs at least each of its children, whose costs only fall
+    afterwards, so the picks close no cycle. A negative score can make
+    costs fall for longer, so the sweeps stop at that count, and the
+    answer is rejected if it holds a cycle, register edges included: the
+    search forbids combinational cycles and `reconstruct` cannot build
+    register loops. It is also None if a root has no finite cost, or once
+    the deadline passes.
     """
     cost: dict[int, float] = {}
     pick: dict[int, _Row] = {}
@@ -173,7 +177,7 @@ def _greedy(
     for comp, cyclic in order:
         if _late(deadline):
             return None
-        for _ in range(len(comp) if cyclic else 1):
+        for _ in range(len(comp) + 1 if cyclic else 1):
             fell = False
             for c in comp:
                 best = cost.get(c, inf)

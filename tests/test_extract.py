@@ -10,8 +10,10 @@ from powersat import benchmarks, cli
 from powersat.egraph import EGraph, EGraphError, ENode
 from powersat.equiv import cosimulate
 from powersat.extract import (
+    ExtractionSolution,
     _closure,
     build_problem,
+    greedy_selection,
     lp_text,
     reconstruct,
     seed_from_design,
@@ -345,6 +347,67 @@ def test_budget_spent_during_set_up_returns_the_seed_unproven():
     assert sol.choice == seeded
     assert sol.objective == selection_cost(problem, seeded)
     assert full.objective < sol.objective
+
+
+@pytest.fixture(scope="module")
+def comb_at_4():
+    """comb_mux_add_tree grown for 4 rewrite iterations (2,419 classes) and
+    scored under cfg1, with the design as the incumbent."""
+    d = benchmarks.design("comb_mux_add_tree")
+    g = EGraph()
+    g.add_expr(d)
+    apply_rules(g, rules_by_name(None), max_iters=4)
+    stim = generate_stimuli(benchmarks.stimuli_config("comb_mux_add_tree", "cfg1"), d)
+    rep = choose_representatives(g, origin=g.design_enodes(d))
+    scores = class_scores(g, graph_activity(simulate(g, rep, stim)))
+    return d, stim, build_problem(g, scores, incumbent=seed_from_design(g, d))
+
+
+def test_greedy_start_beats_the_design_on_the_grown_add_tree(comb_at_4):
+    d, stim, problem = comb_at_4
+    seed = _closure(problem.g, problem.incumbent, problem.roots)
+    greedy = greedy_selection(problem)
+    assert _closure(problem.g, greedy, problem.roots) == greedy
+    assert selection_cost(problem, seed) == pytest.approx(88.52, abs=0.005)
+    assert selection_cost(problem, greedy) == pytest.approx(66.43, abs=0.005)
+    rebuilt = reconstruct(problem.g, ExtractionSolution(greedy), d)
+    assert cosimulate(d, rebuilt, stim) is None
+
+
+def test_zero_budget_returns_the_seed_not_the_greedy_start(comb_at_4):
+    _, _, problem = comb_at_4
+    seed = _closure(problem.g, problem.incumbent, problem.roots)
+    sol = solve(problem, time_budget=0.0)
+    assert sol.choice == seed
+    assert (sol.stats.explored, sol.stats.proven_optimal) == (0, False)
+    assert sol.stats.start == "design"
+    assert sol.stats.start_objective == sol.objective == selection_cost(problem, seed)
+    assert sol.stats.root_bound is None
+
+
+@pytest.mark.parametrize("kind", ["and", "reg"])
+def test_greedy_start_with_a_cycle_is_rejected(kind):
+    # With scores of at least 0 the greedy picks close no cycle; a negative
+    # score lets class a pick a member that reads a itself. The search
+    # forbids the combinational loop; reconstruct cannot build the register
+    # loop, so the greedy start must not bring one in.
+    g = EGraph()
+    a = g.add(ENode("var", (), 2, "a"))
+    en = g.add(ENode("var", (), 1, "en"))
+    loop = ENode("and", (a, a), 2) if kind == "and" else ENode("reg", (a, en), 2)
+    g.merge(a, g.add(loop))
+    g.rebuild()
+    a = g.find(a)
+    scores = zero_scores(g)
+    scores[a] = {n: -1.0 if n.kind == kind else 10.0 for n in g.nodes_of(a)}
+    seed = {a: next(n for n in g.nodes_of(a) if n.kind == "var")}
+    problem = build_problem(g, scores, roots=[a], incumbent=seed)
+    assert greedy_selection(problem) is None
+    sol = solve(problem)
+    assert sol.stats.start == "design" and sol.stats.start_objective == 10.0
+    assert sol.stats.proven_optimal
+    if kind == "and":
+        assert (sol.choice, sol.objective) == (seed, 10.0)
 
 
 def test_selection_deeper_than_the_recursion_limit():
