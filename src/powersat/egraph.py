@@ -221,8 +221,9 @@ class EGraph:
         A queued class re-canonicalizes its parents, merging those the
         hashcons shows congruent, which queues more classes; then the parent
         classes touched re-canonicalize their members. Hashcons keys with
-        stale children remain but cannot be hit: a lookup's key has only
-        root children, and a merged-away id never becomes a root again.
+        stale children remain until `compact_hashcons` but cannot be hit: a
+        lookup's key has only root children, and a merged-away id never
+        becomes a root again.
         """
         touched: set[int] = set()
         while self._worklist:
@@ -239,8 +240,8 @@ class EGraph:
 
         Repairs pop parent keys and insert their repaired forms, which
         leaves stale keys behind and the table larger than its live keys
-        need (1.25 MB against 0.28 MB for 8,349 keys on the combinational
-        add-tree at 4 iterations).
+        need: 1.31 MB for 8,349 keys against 0.29 MB for the 8,244 live ones
+        on the combinational add-tree at 4 iterations.
         """
         self._hashcons = {n: cid for cid, cls in self._classes.items() for n in cls.nodes}
 

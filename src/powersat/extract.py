@@ -10,8 +10,8 @@ greedy selection replaces that incumbent when it is cheaper.
 
 import math
 import time
-from heapq import heappop, heappush
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .egraph import (
     EGraph,
@@ -146,8 +146,8 @@ def _search_rows(
                     shared.add(d)
         rows_of[cid] = out
     succ = {cid: [d for row in out for d in row[2]] for cid, out in rows_of.items()}
-    return rows_of, [(comp, closes_cycle(comp, succ)) for comp in strongly_connected(succ)], \
-        parent, shared
+    order = [(comp, closes_cycle(comp, succ)) for comp in strongly_connected(succ)]
+    return rows_of, order, parent, shared
 
 
 def _greedy(
@@ -241,9 +241,9 @@ def _bound_tables(
     Forced sets grow from {c} to a fixpoint. h rises from the cheapest row
     for at most one round per member; every iterate is a valid bound, and
     only a cycle of exclusive classes, which never becomes needed, would
-    keep rising. Once a component is done, its rows keep only the classes
-    they add to the class's forced set, since that set is needed before
-    the class is decided.
+    keep rising. Once a component is done, its rows in `rows_of` are
+    rewritten to keep only the classes they add to the class's forced set,
+    since that set is needed before the class is decided.
     """
     forced: dict[int, tuple[int, ...]] = {}
     h: dict[int, float] = {}
@@ -374,8 +374,9 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
         return False
 
     undecided = {c for r in roots for c in forced[r]}
-    # A min-heap holding every undecided class once, and classes decided
-    # since they were pushed, which are skipped when they come off it.
+    # A min-heap of the classes in `queued`: every undecided class once, and
+    # classes that left the undecided set after they were pushed, which are
+    # skipped when they come off it.
     queue = sorted(undecided)
     queued = set(undecided)
     frames: list[list] = []

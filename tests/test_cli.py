@@ -69,6 +69,9 @@ def test_end_to_end_power_run(fig1, tmp_path, capsys):
     assert report["optimized_objective"] <= report["baseline_objective"]
     assert report["predicted_relative_change"] < 0
     assert report["solver"]["proven_optimal"] is True
+    assert set(report["solver"]) == {"explored", "proven_optimal", "start", "root_bound"}
+    assert report["solver"]["start"]["source"] in ("design", "greedy")
+    assert report["solver"]["root_bound"] <= report["optimized_objective"]
     assert report["rewrite"]["iterations"][0]["iteration"] == 1
     for entry in report["selection"]:
         assert {"class", "width", "node", "provenance"} <= set(entry)
