@@ -92,6 +92,7 @@ class EGraph:
         # (creation index, rule) of the rewrite that introduced each node,
         # "design" for seeded nodes. A node re-canonicalized from older ones
         # keeps the tag of the earliest, so tags never follow set order.
+        # `compact_hashcons` drops the forms that are no longer live.
         self.made_by: dict[ENode, tuple[int, str]] = {}
         self.origin_tag = "design"
 
@@ -236,14 +237,18 @@ class EGraph:
             cls.nodes = {self.canonicalize(n) for n in cls.nodes}
 
     def compact_hashcons(self) -> None:
-        """Rebuild the hashcons from the live members, after a rebuild.
+        """Rebuild the hashcons and `made_by` from the live members, after a
+        rebuild.
 
         Repairs pop parent keys and insert their repaired forms, which
         leaves stale keys behind and the table larger than its live keys
         need: 1.31 MB for 8,349 keys against 0.29 MB for the 8,244 live ones
-        on the combinational add-tree at 4 iterations.
+        on the combinational add-tree at 4 iterations. `made_by` keeps every
+        form a node ever had (18,193 keys there); a live form already holds
+        the earliest tag of the forms it replaced, so the rest go.
         """
         self._hashcons = {n: cid for cid, cls in self._classes.items() for n in cls.nodes}
+        self.made_by = {n: self.made_by[n] for n in self._hashcons}
 
     # -- queries -----------------------------------------------------------
 

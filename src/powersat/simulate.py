@@ -8,6 +8,10 @@ enabled, holds while disabled, and reads 0 before its first enable.
 Each representative is evaluated over its whole waveform at once by one entry
 of `_OPS`, after the classes it reads. Only a group of classes that reads
 itself through a register is stepped a cycle at a time, with the same table.
+
+Class waveforms are stored in their width's `word_dtype`, 1 to 8 bytes a
+cycle. Operators compute in uint64 (Python ints past 64 bits), and a result
+narrows only after its width check.
 """
 
 from dataclasses import dataclass
@@ -66,12 +70,12 @@ def choose_representatives(
 
 # -- operator semantics --------------------------------------------------------
 #
-# Every entry maps an e-node and its child waveforms, all of one dtype (uint64,
-# or Python ints when any word involved is wider than 64 bits), to the node's
-# waveform. `k` turns a Python int into a scalar of that dtype, so no operation
-# mixes uint64 with a signed or float type. Shift amounts are clamped before
-# shifting (numpy leaves shifts by 64 or more undefined) and the out-of-range
-# cycles are selected away afterwards.
+# Every entry maps an e-node and its child waveforms, all of one work dtype
+# (uint64, or Python ints when any word involved is wider than 64 bits), to the
+# node's waveform. `k` turns a Python int into a scalar of that dtype, so no
+# operation mixes uint64 with a signed or float type. Shift amounts are clamped
+# before shifting (numpy leaves shifts by 64 or more undefined) and the
+# out-of-range cycles are selected away afterwards.
 
 def _hold(d: np.ndarray, en: np.ndarray) -> np.ndarray:
     """At each cycle, the sample of `d` from the last cycle `en` was set, else 0."""
@@ -122,7 +126,9 @@ _OPS = {
 
 
 def _apply(n: ENode, children: list[np.ndarray], widths: list[int]) -> np.ndarray:
-    """One operator over its child waveforms (equal lengths, any word dtypes).
+    """One operator over its child waveforms (equal lengths, any word dtypes),
+    computed in a work dtype: uint64, or Python ints past 64 bits. `_fit`
+    narrows the result to storage.
 
     The work dtype covers the node and every child; for `mul` it covers the
     full product, so a product never wraps before the width check sees it.
@@ -131,7 +137,7 @@ def _apply(n: ENode, children: list[np.ndarray], widths: list[int]) -> np.ndarra
     if op is None:
         raise SimulationError(f"cannot simulate {n.kind!r}")
     widest = sum(widths) if n.kind == "mul" else max(widths, default=0)
-    dtype = word_dtype(max(n.width, widest))
+    dtype = np.dtype(np.uint64) if max(n.width, widest) <= 64 else np.dtype(object)
     return op(n, dtype.type, *(c.astype(dtype, copy=False) for c in children))
 
 
@@ -149,7 +155,8 @@ def _node_wave(
 
 
 def _fit(values: np.ndarray, width: int, cid: int) -> np.ndarray:
-    """`values` in the class's word dtype; raises if any overflows the width."""
+    """Work-dtype `values` narrowed to the class's word dtype; raises first if
+    any overflows the width, so a wide value never wraps into range."""
     if len(values) and int(values.max()) >> width:
         bad = next(int(v) for v in values if int(v) >> width)
         raise SimulationError(f"value {bad} overflows width of class {cid}")
@@ -234,7 +241,7 @@ class ActivityStats:
 
 def _bit_counts(rows: np.ndarray, width: int) -> tuple[list[list[int]], list[list[int]]]:
     """Per-row, per-bit toggle and one counts of a (waveforms, cycles) matrix
-    in the narrowest unsigned dtype that holds the width."""
+    in the width's word dtype."""
     diff = rows[:, 1:] ^ rows[:, :-1]
     toggles = np.empty((len(rows), width), dtype=np.int64)
     ones = np.empty((len(rows), width), dtype=np.int64)
@@ -280,7 +287,7 @@ def graph_activity(waves: dict[int, Waveform]) -> dict[int, ActivityStats]:
     for (width, cycles), cids in shapes.items():
         for start in range(0, len(cids), _ACTIVITY_BATCH):
             batch = cids[start:start + _ACTIVITY_BATCH]
-            rows = np.empty((len(batch), cycles), dtype=np.min_scalar_type((1 << width) - 1))
+            rows = np.empty((len(batch), cycles), dtype=word_dtype(width))
             for i, cid in enumerate(batch):
                 rows[i] = waves[cid].array
             toggles, ones = _bit_counts(rows, width)

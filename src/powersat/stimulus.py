@@ -43,17 +43,20 @@ class SplitMix64:
 
 
 def word_dtype(width: int) -> np.dtype:
-    """Array dtype holding words of a width: uint64, or Python ints past 64 bits."""
-    return np.dtype(np.uint64) if width <= 64 else np.dtype(object)
+    """Array dtype storing words of a width: the narrowest of uint8, uint16,
+    uint32 and uint64 that holds it, or Python ints past 64 bits. Storage
+    only: operators compute in uint64 (or Python ints) and narrow after."""
+    return np.min_scalar_type((1 << width) - 1)
 
 
 class Waveform:
     """A cycle-indexed stream of unsigned words of one width.
 
-    Built from a list of ints or from an array (uint64, object past 64 bits).
-    The range is checked once; the other form is derived on first use and kept.
-    `values` is always a list of Python ints, so scalar code never sees a
-    wrapping numpy integer.
+    Built from a list of ints or from an array of any integer dtype. The words
+    are range-checked as given, then an array is stored in `word_dtype(width)`
+    (1 to 8 bytes a cycle, Python ints past 64 bits); the other form is
+    derived on first use and kept. `values` is always a list of Python ints,
+    so scalar code never sees a wrapping numpy integer.
     """
 
     __slots__ = ("width", "_values", "_array")
@@ -62,16 +65,17 @@ class Waveform:
         self.width = width
         self._values: list[int] | None = None
         self._array: np.ndarray | None = None
+        # numpy reductions for arrays: builtin min over one runs at Python speed
+        if len(values):
+            lo, hi = (values.min(), values.max()) if isinstance(values, np.ndarray) else \
+                (min(values), max(values))
+            if lo < 0 or int(hi) >> width:
+                bad = next(v for v in map(int, values) if not 0 <= v < 1 << width)
+                raise StimulusError(f"value {bad} does not fit in {width} bits")
         if isinstance(values, np.ndarray):
-            self._array = values if values.dtype == word_dtype(width) else \
-                values.astype(word_dtype(width))
-            lo, hi = (int(self._array.min()), int(self._array.max())) if len(values) else (0, 0)
+            self._array = values.astype(word_dtype(width), copy=False)
         else:
             self._values = values
-            lo, hi = (int(min(values)), int(max(values))) if values else (0, 0)
-        if lo < 0 or hi >= 1 << width:
-            bad = next(int(v) for v in self.array if not 0 <= v < (1 << width))
-            raise StimulusError(f"value {bad} does not fit in {width} bits")
 
     @property
     def values(self) -> list[int]:

@@ -226,3 +226,10 @@ def test_rewriting_leaves_only_live_nodes_in_the_hashcons():
     apply_rules(g, rule_library(), max_iters=1)
     assert len(g._hashcons) == g.enode_count() == 56
     g.check_invariants()
+
+
+def test_rewriting_keeps_provenance_of_live_nodes_only():
+    g = EGraph()
+    g.add_expr(random_design(random.Random("mixed/113"), max_nodes=24, kinds=EVERY_KIND))
+    apply_rules(g, rule_library(), max_iters=1)
+    assert set(g.made_by) == {n for cid in g.class_ids() for n in g.nodes_of(cid)}

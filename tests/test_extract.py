@@ -350,16 +350,10 @@ def test_budget_spent_during_set_up_returns_the_seed_unproven():
 
 
 @pytest.fixture(scope="module")
-def comb_at_4():
-    """comb_mux_add_tree grown for 4 rewrite iterations (2,419 classes) and
-    scored under cfg1, with the design as the incumbent."""
-    d = benchmarks.design("comb_mux_add_tree")
-    g = EGraph()
-    g.add_expr(d)
-    apply_rules(g, rules_by_name(None), max_iters=4)
-    stim = generate_stimuli(benchmarks.stimuli_config("comb_mux_add_tree", "cfg1"), d)
-    rep = choose_representatives(g, origin=g.design_enodes(d))
-    scores = class_scores(g, graph_activity(simulate(g, rep, stim)))
+def comb_at_4(grown_comb):
+    """`grown_comb` scored, with the design as the incumbent."""
+    d, g, stim, waves = grown_comb
+    scores = class_scores(g, graph_activity(waves))
     return d, stim, build_problem(g, scores, incumbent=seed_from_design(g, d))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from powersat.egraph import EGraph, ENode
 from powersat.equiv import simulate_design
 from powersat.extract import seed_from_design
-from powersat.ir import parse_design
+from powersat.ir import DesignBuilder, parse_design
 from powersat.rewrite import apply_rules, rules_by_name
 from powersat.simulate import (
     SimulationError,
@@ -18,7 +19,7 @@ from powersat.simulate import (
     graph_activity,
     simulate,
 )
-from powersat.stimulus import Waveform
+from powersat.stimulus import Waveform, word_dtype
 
 from _util import random_design, random_stimuli
 
@@ -200,14 +201,14 @@ def test_graph_simulation_matches_the_scalar_oracle(seed, cycles):
         assert waves[g.find(cid)].values == values[idx], d.nodes[idx]
 
 
-def accumulator():
+def accumulator(width=4):
     """q = reg(q + a, en), built by merging a placeholder with the register."""
     g = EGraph()
-    a = g.add(ENode("var", (), 4, "a"))
+    a = g.add(ENode("var", (), width, "a"))
     en = g.add(ENode("var", (), 1, "en"))
-    q = g.add(ENode("var", (), 4, "q"))
-    total = g.add(ENode("add", (q, a), 4))
-    g.merge(q, g.add(ENode("reg", (total, en), 4)))
+    q = g.add(ENode("var", (), width, "q"))
+    total = g.add(ENode("add", (q, a), width))
+    g.merge(q, g.add(ENode("reg", (total, en), width)))
     g.rebuild()
     return g, g.find(q), g.find(total)
 
@@ -261,3 +262,70 @@ def test_design_choice_is_acyclic_after_rewriting(text):
     assert {cid: rep[cid] for cid in seed} == seed
     assert all(n in origin[cid] for cid, n in seed.items())
     simulate(g, rep, random_stimuli(random.Random(5), d, 8))
+
+
+# Widths on each side of every storage dtype boundary (test_stimulus pins
+# which dtype each width stores in); operators compute in uint64 either way.
+BOUNDARY_WIDTHS = (1, 8, 9, 16, 17, 32, 33, 64, 65)
+
+
+def boundary_stimuli(width, ports):
+    """Every pairing of all-zero, all-one and top-bit words on `ports`, with
+    the select and enable bits cycling underneath."""
+    words = (0, (1 << width) - 1, 1 << (width - 1))
+    combos = list(itertools.product(words, repeat=len(ports)))
+    waves = {p: Waveform(width, [c[i] for c in combos]) for i, p in enumerate(ports)}
+    waves["s"] = Waveform(1, [i % 2 for i in range(len(combos))])
+    waves["en"] = Waveform(1, [i // 2 % 2 for i in range(len(combos))])
+    return waves
+
+
+@pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+def test_narrow_storage_matches_the_oracle_at_dtype_boundaries(width):
+    b = DesignBuilder("m")  # add3 has no netlist syntax; rewriting makes it
+    for port, w in (("a", width), ("b", width), ("c", width), ("s", 1), ("en", 1)):
+        b.add_input(port, w)
+    a, x, c, s, en = (b.var(p) for p in ("a", "b", "c", "s", "en"))
+    nodes = [b.op("add", a, x), b.op("sub", a, x), b.op("add3", a, x, c), b.op("mul", a, x),
+             b.op("shl", a, c), b.op("shr", a, c), b.op("not", a), b.op("rep", a, count=2),
+             b.op("mux", s, a, x), b.op("reg", b.op("add", a, c), en),
+             b.op("treg", b.op("sub", a, c), en)]
+    for i, n in enumerate(nodes):
+        b.add_output(f"o{i}", n)
+    d = b.finish()
+    g = EGraph()
+    g.add_expr(d)
+    stim = boundary_stimuli(width, ("a", "b", "c"))
+    waves = simulate(g, choose_representatives(g, origin=g.design_enodes(d)), stim)
+    _, values = simulate_design(d, stim)
+    for idx, cid in enumerate(g.design_classes(d)):
+        assert waves[g.find(cid)].values == values[idx], d.nodes[idx]
+    for cid, w in waves.items():
+        assert w.array.dtype == word_dtype(g.class_width(cid)), (cid, w.width)
+
+
+@pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+def test_register_loop_writes_narrow_words(width):
+    g, q, total = accumulator(width)
+    stim = boundary_stimuli(width, ("a",))
+    stim["q"] = Waveform(width, [0] * stim["a"].cycles)
+    waves = simulate(g, choose_representatives(g), stim)
+    acc, expect_q, expect_total = 0, [], []
+    for a, en in zip(stim["a"].values, stim["en"].values):
+        expect_q.append(acc)
+        expect_total.append((acc + a) % (1 << width))
+        acc = expect_total[-1] if en else acc
+    assert waves[q].values == expect_q
+    assert waves[total].values == expect_total
+    assert waves[q].array.dtype == waves[total].array.dtype == word_dtype(width)
+
+
+def test_class_waveforms_take_one_byte_a_cycle_on_the_grown_add_tree(grown_comb):
+    # every class is 1 or 8 bits wide: 2,000 cycles x 2,419 classes x 1 byte,
+    # against 8 bytes a cycle when every word was stored as uint64
+    _, g, _, waves = grown_comb
+    assert {g.class_width(cid) for cid in waves} == {1, 8}
+    assert len(waves) == g.class_count() == 2419
+    assert sum(w.array.nbytes for w in waves.values()) == 2000 * 2419 == 4_838_000
+    # provenance is kept for the live nodes only (18,193 keys before)
+    assert len(g.made_by) == g.enode_count() == 8244

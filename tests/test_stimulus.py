@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from powersat.stimulus import (
     convergence_tolerance,
     fnv1a64,
     generate_stimuli,
+    word_dtype,
 )
 
 DESIGN = parse_design("""
@@ -162,6 +164,29 @@ def test_waveform_prefix_and_bounds():
     assert w.prefix(2).values == [0, 1]
     with pytest.raises(StimulusError):
         Waveform(2, [4])
+
+
+@pytest.mark.parametrize("words,bad", [
+    ([-1, 2], -1),
+    ([1 << 64], 1 << 64),
+    (np.array([259, 3], dtype=np.uint64), 259),  # would wrap to 3 in uint8
+    (np.array([-1, 3]), -1),
+])
+def test_waveform_checks_words_as_given(words, bad):
+    with pytest.raises(StimulusError, match=f"value {bad} does not fit in 8 bits"):
+        Waveform(8, words)
+
+
+@pytest.mark.parametrize("width,dtype", [
+    (1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32),
+    (32, np.uint32), (33, np.uint64), (64, np.uint64), (65, object),
+])
+def test_waveforms_are_stored_in_the_narrowest_word_type(width, dtype):
+    assert word_dtype(width) == np.dtype(dtype)
+    top = 1 << (width - 1)
+    for w in (Waveform(width, [0, top]), Waveform(width, np.array([0, top], dtype=object))):
+        assert w.array.dtype == np.dtype(dtype)
+        assert w.values == [0, top]
 
 
 GOLDEN = 0x9E3779B97F4A7C15
