@@ -1,9 +1,10 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
-from powersat import benchmarks
+from powersat import benchmarks, equiv
 from powersat.equiv import (
     EquivError,
     Mismatch,
@@ -250,3 +251,64 @@ def test_exhaustive_rule_check_covers_operator_families():
     ce = exhaustive_rule_check(bad, cycles=3)
     assert ce is not None
     assert ce.mismatch.cycle <= 2
+
+
+# Block pins: the engine enumerates streams in blocks, and a 16-word block
+# budget leaves a single stream per block. The stream index packs each port's
+# cycles in port order, lowest bits first, so with two cycles of `a` (2 bits)
+# and `b` (1 bit) every stream below 16 has `b` low on both cycles. The pinned
+# mismatches are the earliest cycle, then the first output port, then the
+# lowest stream, as the whole-space bit-parallel engine found them.
+_AB = "(module m (input a 2) (input b 1) "
+BLOCK_PINS = {
+    # only streams with `b` high differ, all past the first 16
+    "only-past-the-first-block": (
+        _AB + "(output y a))",
+        _AB + "(output y (mux b (not a) a)))",
+        (0, "y", 0, 3, {"a": [0, 0], "b": [1, 0]})),
+    # stream 0 first differs at cycle 1; stream 16 already at cycle 0
+    "later-block-earlier-cycle": (
+        _AB + "(output y (not (reg a (const 1 1)))))",
+        _AB + "(output y (mux b (const 2 0) (xor (const 2 3) (reg (const 2 1) (const 1 1))))))",
+        (0, "y", 3, 0, {"a": [0, 0], "b": [1, 0]})),
+    # `y` differs on stream 0 at cycle 0, `x` only from stream 16 on
+    "first-port-wins": (
+        _AB + "(output x a) (output y a))",
+        _AB + "(output x (mux b (not a) a)) (output y (not a)))",
+        (0, "x", 0, 3, {"a": [0, 0], "b": [1, 0]})),
+}
+
+
+def _zero_streams(d, cycles):
+    return {p: wave(w, [0] * cycles) for p, w in d.inputs}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_PINS))
+def test_exhaustive_mismatch_across_blocks_is_pinned(case, monkeypatch):
+    monkeypatch.setattr(equiv, "_BLOCK_WORDS", 16, raising=False)
+    left, right, expected = BLOCK_PINS[case]
+    d1, d2 = parse_design(left), parse_design(right)
+    first = cosimulate(d1, d2, _zero_streams(d1, 2))
+    if case == "only-past-the-first-block":
+        assert all(cosimulate(d1, d2, {"a": wave(2, [x, y]), "b": wave(1, [0, 0])}) is None
+                   for x in range(4) for y in range(4))
+    elif case == "later-block-earlier-cycle":
+        assert (first.cycle, first.port) == (1, "y")
+    else:
+        assert (first.cycle, first.port) == (0, "y")
+    mm = exhaustive_check(d1, d2, 2)
+    assert mm is not None
+    stimuli = {p: w.values for p, w in mm.stimuli.items()}
+    assert (mm.cycle, mm.port, mm.expected, mm.actual, stimuli) == expected
+
+
+def test_exhaustive_check_memory_is_bounded():
+    d = parse_design("(module m (input a 1) (input b 1) (input c 1) (input en 1)"
+                     " (output q (treg (reg (xor a c) en) (reg b en))))")
+    tracemalloc.start()
+    try:
+        assert exhaustive_check(d, d, 5) is None  # 20 stream bits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
