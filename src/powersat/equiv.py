@@ -1,8 +1,9 @@
 """Equivalence checking between designs: cosimulation, exhaustive enumeration,
 and randomized rewrite-rule fuzzing.
 
-This module evaluates designs with its own interpreter, separate from the
-e-graph simulator, so it can serve as an oracle for the optimization path.
+`simulate_design` is a scalar interpreter written apart from the e-graph
+simulator: it is the oracle for cosimulation and for the replay of every
+mismatch. Exhaustive enumeration runs the simulator's own operators.
 """
 
 import itertools
@@ -10,6 +11,8 @@ import operator
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .egraph import EGraphError
 from .ir import Design, DesignBuilder
@@ -24,7 +27,8 @@ from .rewrite import (
     Subst,
     _pattern_vars,
 )
-from .stimulus import Waveform
+from .simulate import _apply
+from .stimulus import Waveform, word_dtype
 
 
 class EquivError(Exception):
@@ -130,110 +134,39 @@ def cosimulate(d1: Design, d2: Design, stimuli: dict[str, Waveform]) -> Mismatch
 # ---------------------------------------------------------------------------
 # exhaustive checking
 #
-# Every possible input stream is evaluated at once: each (port, cycle, bit)
-# slot doubles the scenario space, and every signal bit is carried as one big
-# integer whose j-th bit is that bit's value in scenario j. Word-level
-# operators are lowered to bit operations (ripple adders, AND-row multiplier,
-# decoded shifts), so the whole enumeration runs in a handful of bignum ops.
+# Stream j sets the (port, cycle, bit) slot s to bit s of j: ports in order,
+# each port's cycles in order, lowest bit first. Blocks of streams run through
+# `simulate._apply`, every node over a (streams, cycles) array; the earliest
+# mismatch (cycle, then output port order, then stream) is replayed through
+# `cosimulate`, so the scalar interpreter reports it.
+
+# Words a block holds over all nodes of both designs: about 8 MB at uint64.
+_BLOCK_WORDS = 1 << 20
 
 
-def _slot_mask(slot: int, total_bits: int) -> int:
-    m = ((1 << (1 << slot)) - 1) << (1 << slot)
-    filled = 1 << (slot + 1)
-    while filled < (1 << total_bits):
-        m |= m << filled
-        filled *= 2
-    return m
+def _stream_words(d: Design, streams: np.ndarray, cycles: int) -> dict[str, np.ndarray]:
+    """Each input port's words in the given streams, one row a stream. Built
+    cycle-major and transposed, so numpy's inner loop runs over the streams."""
+    words, slot = {}, 0
+    for port, width in d.inputs:
+        shifts = np.arange(slot, slot + width * cycles, width, dtype=np.uint64)
+        words[port] = ((streams >> shifts[:, None]) & np.uint64((1 << width) - 1)).T
+        slot += width * cycles
+    return words
 
 
-def _ripple_add(a: list[int], b: list[int], carry: int, full: int) -> list[int]:
-    out = []
-    for x, y in zip(a, b):
-        out.append(x ^ y ^ carry)
-        carry = (x & y) | (carry & (x ^ y))
-    return out
-
-
-class _BitSim:
-    def __init__(self, d: Design, in_bits: dict[str, list[list[int]]], full: int, cycles: int):
-        self.d = d
-        self.in_bits = in_bits  # port -> [cycle][bit] scenario masks
-        self.full = full
-        self.cycles = cycles
-        self.prev: list[list[int]] = [[0] * n.width for n in d.nodes]
-        self.cur: list[list[int]] = [[0] * n.width for n in d.nodes]
-
-    def step(self, i: int) -> None:
-        full = self.full
-        for idx, n in enumerate(self.d.nodes):
-            ch = n.children
-            k = n.kind
-            if k == "var":
-                v = self.in_bits[n.port][i]
-            elif k == "const":
-                v = [full if (n.value >> b) & 1 else 0 for b in range(n.width)]
-            elif k == "not":
-                v = [x ^ full for x in self.cur[ch[0]]]
-            elif k == "and":
-                v = [x & y for x, y in zip(self.cur[ch[0]], self.cur[ch[1]])]
-            elif k == "or":
-                v = [x | y for x, y in zip(self.cur[ch[0]], self.cur[ch[1]])]
-            elif k == "xor":
-                v = [x ^ y for x, y in zip(self.cur[ch[0]], self.cur[ch[1]])]
-            elif k == "mux":
-                s = self.cur[ch[0]][0]
-                v = [(s & a) | ((s ^ full) & b)
-                     for a, b in zip(self.cur[ch[1]], self.cur[ch[2]])]
-            elif k == "rep":
-                v = list(self.cur[ch[0]]) * n.count
-            elif k == "add":
-                v = _ripple_add(self.cur[ch[0]], self.cur[ch[1]], 0, full)
-            elif k == "add3":
-                v = _ripple_add(_ripple_add(self.cur[ch[0]], self.cur[ch[1]], 0, full),
-                                self.cur[ch[2]], 0, full)
-            elif k == "sub":
-                flipped = [x ^ full for x in self.cur[ch[1]]]
-                v = _ripple_add(self.cur[ch[0]], flipped, full, full)
-            elif k == "mul":
-                a, b = self.cur[ch[0]], self.cur[ch[1]]
-                v = [0] * n.width
-                for i_b, bit_b in enumerate(b):
-                    row = [0] * n.width
-                    for i_a, bit_a in enumerate(a):
-                        if i_a + i_b < n.width:
-                            row[i_a + i_b] = bit_a & bit_b
-                    v = _ripple_add(v, row, 0, full)
-            elif k in ("shl", "shr"):
-                a, sh = self.cur[ch[0]], self.cur[ch[1]]
-                v = [0] * n.width
-                for amount in range(min(n.width, 1 << len(sh))):
-                    eq = full
-                    for t, bit in enumerate(sh):
-                        eq &= bit if (amount >> t) & 1 else bit ^ full
-                    if not eq:
-                        continue
-                    for b in range(n.width):
-                        src = b - amount if k == "shl" else b + amount
-                        if 0 <= src < n.width:
-                            v[b] |= eq & a[src]
-            elif k == "reg":
-                if i == 0:
-                    v = [0] * n.width
-                else:
-                    en = self.prev[ch[1]][0]
-                    v = [(en & a) | ((en ^ full) & q)
-                         for a, q in zip(self.prev[ch[0]], self.prev[idx])]
-            elif k == "treg":
-                en = self.cur[ch[1]][0]
-                held = self.prev[idx] if i > 0 else [0] * n.width
-                v = [(en & a) | ((en ^ full) & q)
-                     for a, q in zip(self.cur[ch[0]], held)]
-            else:
-                raise EquivError(f"cannot simulate {k!r}")
-            self.cur[idx] = v
-
-    def flip(self) -> None:
-        self.prev = [list(v) for v in self.cur]
+def _block_outputs(d: Design, words: dict, shape: tuple[int, int]) -> dict[str, np.ndarray]:
+    """Each output port's (streams, cycles) words, every node by `_apply`."""
+    values: list[np.ndarray] = []
+    for n in d.nodes:
+        if n.kind == "var":
+            v = words[n.port]
+        elif n.kind == "const":
+            v = np.full(shape, n.value, dtype=word_dtype(n.width))
+        else:
+            v = _apply(n, [values[c] for c in n.children], [d.nodes[c].width for c in n.children])
+        values.append(v)
+    return {p: values[idx] for p, idx in d.outputs}
 
 
 def exhaustive_check(
@@ -251,50 +184,33 @@ def exhaustive_check(
     total_bits = sum(w for _, w in d1.inputs) * max_cycles
     if total_bits > 24:
         raise EquivError(f"enumeration bound exceeded: {total_bits} stream bits > 24")
-    full = (1 << (1 << total_bits)) - 1
-    slot = 0
-    in_bits: dict[str, list[list[int]]] = {}
-    for port, width in d1.inputs:
-        per_cycle = []
-        for _ in range(max_cycles):
-            per_cycle.append([_slot_mask(slot + b, total_bits) for b in range(width)])
-            slot += width
-        in_bits[port] = per_cycle
-    sim1, sim2 = _BitSim(d1, in_bits, full, max_cycles), _BitSim(d2, in_bits, full, max_cycles)
-    out1 = {p: idx for p, idx in d1.outputs}
-    out2 = {p: idx for p, idx in d2.outputs}
-    for i in range(max_cycles):
-        sim1.step(i)
-        sim2.step(i)
-        for port, _ in d1.outputs:
-            diff = 0
-            for b1, b2 in zip(sim1.cur[out1[port]], sim2.cur[out2[port]]):
-                diff |= b1 ^ b2
-            if diff:
-                scenario = (diff & -diff).bit_length() - 1
-                stimuli = _decode_scenario(d1, scenario, max_cycles)
-                mm = cosimulate(d1, d2, stimuli)
-                if mm is None:  # cannot happen; decoded from a differing scenario
-                    raise EquivError("scenario decode failed to reproduce mismatch")
-                return mm
-        sim1.flip()
-        sim2.flip()
-    return None
+    block = max(1, _BLOCK_WORDS // ((len(d1.nodes) + len(d2.nodes)) * max(max_cycles, 1)))
+    first = None  # (cycle, output position, stream) of the earliest mismatch
+    for start in range(0, 1 << total_bits, block):
+        streams = np.arange(start, min(start + block, 1 << total_bits), dtype=np.uint64)
+        words = _stream_words(d1, streams, max_cycles)
+        shape = (len(streams), max_cycles)
+        out1, out2 = _block_outputs(d1, words, shape), _block_outputs(d2, words, shape)
+        for pos, (port, _) in enumerate(d1.outputs):
+            differ = out1[port] != out2[port]
+            cycles = np.flatnonzero(differ.any(axis=0))
+            if len(cycles):
+                i = int(cycles[0])
+                found = (i, pos, start + int(np.argmax(differ[:, i])))
+                first = found if first is None else min(first, found)
+        if first is not None and first[:2] == (0, 0):
+            break  # no later stream can come before it
+    if first is None:
+        return None
+    mm = cosimulate(d1, d2, _decode_scenario(d1, first[2], max_cycles))
+    if mm is None:  # cannot happen; decoded from a differing scenario
+        raise EquivError("scenario decode failed to reproduce mismatch")
+    return mm
 
 
 def _decode_scenario(d: Design, scenario: int, cycles: int) -> dict[str, Waveform]:
-    slot = 0
-    waves = {}
-    for port, width in d.inputs:
-        vals = []
-        for _ in range(cycles):
-            v = 0
-            for b in range(width):
-                v |= ((scenario >> (slot + b)) & 1) << b
-            vals.append(v)
-            slot += width
-        waves[port] = Waveform(width, vals)
-    return waves
+    words = _stream_words(d, np.array([scenario], dtype=np.uint64), cycles)
+    return {port: Waveform(width, words[port][0]) for port, width in d.inputs}
 
 
 # ---------------------------------------------------------------------------

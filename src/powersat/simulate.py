@@ -78,15 +78,19 @@ def choose_representatives(
 # out-of-range cycles are selected away afterwards.
 
 def _hold(d: np.ndarray, en: np.ndarray) -> np.ndarray:
-    """At each cycle, the sample of `d` from the last cycle `en` was set, else 0."""
-    last = np.where(en != 0, np.arange(1, len(d) + 1), 0)
-    np.maximum.accumulate(last, out=last)
-    return np.concatenate((np.zeros(1, d.dtype), d))[last]
+    """At each cycle, the sample of `d` from the last cycle `en` was set, else 0.
+    Cycles run along the last axis, so a 2-D array holds one stream a row."""
+    cycles = d.shape[-1]
+    last = np.where(en != 0, np.arange(1, cycles + 1), 0)
+    np.maximum.accumulate(last, axis=-1, out=last)
+    padded = np.zeros(d.shape[:-1] + (cycles + 1,), d.dtype)
+    padded[..., 1:] = d
+    return np.take_along_axis(padded, last, axis=-1)
 
 
 def _reg(n, k, d, en):
     out = np.zeros_like(d)
-    out[1:] = _hold(d, en)[:-1]
+    out[..., 1:] = _hold(d, en)[..., :-1]
     return out
 
 

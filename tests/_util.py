@@ -31,8 +31,10 @@ EVERY_KIND = ("add", "sub", "and", "or", "xor", "not", "mux", "shl", "shr",
 
 
 def random_design(rng: random.Random, max_nodes: int = 10, name: str = "rand",
-                  kinds: tuple[str, ...] = REGISTER_KINDS) -> Design:
-    """A small valid design with operators drawn from `kinds`."""
+                  kinds: tuple[str, ...] = REGISTER_KINDS,
+                  widths: tuple[int, ...] = WIDTHS) -> Design:
+    """A small valid design with operators drawn from `kinds`, its word
+    width drawn from `widths`."""
     b = DesignBuilder(name)
     pool: dict[int, list[int]] = {}
 
@@ -51,7 +53,7 @@ def random_design(rng: random.Random, max_nodes: int = 10, name: str = "rand",
             return new_leaf(width)
         return rng.choice(pool[width])
 
-    w = rng.choice(WIDTHS)
+    w = rng.choice(widths)
     new_leaf(w)
     budget = rng.randint(3, max_nodes)
     attempts = 0

@@ -312,3 +312,51 @@ def test_exhaustive_check_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20
+
+
+def _oracle_first_mismatch(d1, d2, cycles):
+    """Every stream in index order through `cosimulate`; the mismatch first
+    by (cycle, output port order, stream index)."""
+    ports = [p for p, _ in d1.outputs]
+    bits = sum(w for _, w in d1.inputs) * cycles
+    best = None
+    for stream in range(1 << bits):
+        stimuli, slot = {}, 0
+        for port, width in d1.inputs:
+            words = []
+            for _ in range(cycles):
+                words.append((stream >> slot) & ((1 << width) - 1))
+                slot += width
+            stimuli[port] = wave(width, words)
+        mm = cosimulate(d1, d2, stimuli)
+        if mm is not None:
+            key = (mm.cycle, ports.index(mm.port), stream)
+            if best is None or key < best[0]:
+                best = (key, mm)
+    return None if best is None else best[1]
+
+
+def _facts(mm):
+    if mm is None:
+        return None
+    return (mm.cycle, mm.port, mm.expected, mm.actual,
+            {p: w.values for p, w in mm.stimuli.items()})
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_exhaustive_check_equals_the_brute_force_oracle(seed, monkeypatch):
+    rng = random.Random(f"oracle/{seed}")
+    while True:  # a design narrow enough to enumerate, with an operator to swap
+        d = random_design(rng, max_nodes=12, kinds=EVERY_KIND, widths=(1, 2))
+        text = print_design(d)
+        swaps = [(o, n) for o, n in _SWAPS if o in text]
+        in_bits = sum(w for _, w in d.inputs)
+        if swaps and in_bits <= 10:
+            break
+    old, new = rng.choice(swaps)
+    mutant = parse_design(text.replace(old, new, 1))
+    cycles = 10 // in_bits
+    expected = _facts(_oracle_first_mismatch(d, mutant, cycles))
+    assert _facts(exhaustive_check(d, mutant, cycles)) == expected
+    monkeypatch.setattr(equiv, "_BLOCK_WORDS", 16)  # one stream a block
+    assert _facts(exhaustive_check(d, mutant, cycles)) == expected

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from powersat.ir import DesignBuilder, parse_design
 from powersat.rewrite import apply_rules, rules_by_name
 from powersat.simulate import (
     SimulationError,
+    _hold,
+    _reg,
     activity,
     activity_csv,
     choose_representatives,
@@ -187,7 +190,7 @@ def test_class_consistency_after_rewriting():
     assert class_consistency_mismatches(g, rep, waves, stim) == []
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), cycles=st.integers(1, 24))
 def test_graph_simulation_matches_the_scalar_oracle(seed, cycles):
     rng = random.Random(seed)
@@ -329,3 +332,16 @@ def test_class_waveforms_take_one_byte_a_cycle_on_the_grown_add_tree(grown_comb)
     assert sum(w.array.nbytes for w in waves.values()) == 2000 * 2419 == 4_838_000
     # provenance is kept for the live nodes only (18,193 keys before)
     assert len(g.made_by) == g.enode_count() == 8244
+
+
+@pytest.mark.parametrize("cycles", [0, 1, 2, 7])
+def test_registers_on_stream_rows_equal_one_stream_at_a_time(cycles):
+    # exhaustive checking runs the register entries on (streams, cycles) arrays
+    rng = np.random.default_rng(cycles)
+    data = rng.integers(0, 16, (5, cycles)).astype(np.uint64)
+    enable = rng.integers(0, 2, (5, cycles)).astype(np.uint64)
+    held, registered = _hold(data, enable), _reg(None, None, data, enable)
+    assert held.shape == registered.shape == (5, cycles)
+    for row in range(5):
+        assert held[row].tolist() == _hold(data[row], enable[row]).tolist()
+        assert registered[row].tolist() == _reg(None, None, data[row], enable[row]).tolist()
