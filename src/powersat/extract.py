@@ -356,6 +356,9 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
         return ExtractionSolution(best_choice, best_cost,
                                   SolverStats(0, False, start, start_objective))
     forced, h = tables
+    # A path back to a class over decided edges is a path in the class graph,
+    # so only a class in a cyclic component can close a cycle.
+    on_cycle = {c for comp, cyclic in order if cyclic for c in comp}
 
     choice: dict[int, ENode] = {}
     edges: dict[int, tuple[int, ...]] = {}  # decided class -> its combinational children
@@ -420,7 +423,8 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
                 if base + score + rest_lb > best_cost + 1e-9:
                     break  # rows are sorted; nothing cheaper follows
                 # Only a decided class has edges, so only one can lead back to cid.
-                if cid in comb or (not decided.isdisjoint(comb) and reaches(comb, cid)):
+                if cid in comb or (cid in on_cycle and not decided.isdisjoint(comb)
+                                   and reaches(comb, cid)):
                     continue
                 choice[cid] = n
                 edges[cid] = comb
@@ -455,36 +459,46 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
 
 
 def reconstruct(g: EGraph, solution: ExtractionSolution, base: Design) -> Design:
-    """Materialize the chosen nodes as a design with the base's port interface."""
+    """Materialize the chosen nodes as a design with the base's port interface.
+
+    A depth-first walk on an explicit stack: a class is built once its
+    children are, and a class met again while its children are still being
+    built closes a loop."""
     root_classes = g.design_classes(base)
     b = DesignBuilder(base.name)
     for port, width in base.inputs:
         b.add_input(port, width)
     memo: dict[int, int] = {}
-    on_path: set[int] = set()
-
-    def build(cid: int) -> int:
-        cid = g.find(cid)
-        if cid in memo:
-            return memo[cid]
-        if cid in on_path:
-            raise EGraphError(f"selected nodes form a register feedback loop at class {cid}")
-        on_path.add(cid)
-        n = solution.choice.get(cid)
-        if n is None:
-            raise EGraphError(f"no node chosen for needed class {cid}")
-        if n.kind == "var":
-            idx = b.var(n.port)
-        elif n.kind == "const":
-            idx = b.const(n.width, n.value)
-        else:
-            idx = b.op(n.kind, *(build(c) for c in n.children), count=n.count)
-        on_path.discard(cid)
-        memo[cid] = idx
-        return idx
-
+    on_path: set[int] = set()  # classes whose children are being built
     for port, node_idx in base.outputs:
-        b.add_output(port, build(root_classes[node_idx]))
+        root = g.find(root_classes[node_idx])
+        stack = [root]
+        while stack:
+            cid = stack[-1]
+            if cid in memo:
+                stack.pop()
+                continue
+            n = solution.choice.get(cid)
+            if n is None:
+                raise EGraphError(f"no node chosen for needed class {cid}")
+            children = [g.find(c) for c in n.children]
+            if cid not in on_path:
+                on_path.add(cid)
+                for c in reversed(children):
+                    if c in on_path:
+                        raise EGraphError(
+                            f"selected nodes form a register feedback loop at class {c}")
+                    stack.append(c)
+                continue
+            stack.pop()
+            on_path.discard(cid)
+            if n.kind == "var":
+                memo[cid] = b.var(n.port)
+            elif n.kind == "const":
+                memo[cid] = b.const(n.width, n.value)
+            else:
+                memo[cid] = b.op(n.kind, *(memo[c] for c in children), count=n.count)
+        b.add_output(port, memo[root])
     return b.finish()
 
 

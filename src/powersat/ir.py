@@ -222,22 +222,28 @@ class DesignBuilder:
     def finish(self) -> Design:
         # Renumber into first-use order from the outputs so a Design built in
         # any topological order compares equal to its reparse. Nodes no output
-        # reaches have no place in the expression syntax and are dropped.
+        # reaches have no place in the expression syntax and are dropped. The
+        # walk numbers a node once its children, left to right, are numbered,
+        # on an explicit stack so chain depth is not bounded by recursion.
         remap: dict[int, int] = {}
         nodes: list[Node] = []
-
-        def visit(idx: int) -> int:
-            hit = remap.get(idx)
-            if hit is not None:
-                return hit
-            n = self.nodes[idx]
-            n = Node(n.kind, tuple(visit(c) for c in n.children),
-                     n.width, n.port, n.value, n.count)
-            remap[idx] = len(nodes)
-            nodes.append(n)
-            return remap[idx]
-
-        outputs = [(port, visit(idx)) for port, idx in self.outputs]
+        for _, top in self.outputs:
+            stack = [top]
+            while stack:
+                idx = stack[-1]
+                if idx in remap:
+                    stack.pop()
+                    continue
+                n = self.nodes[idx]
+                pending = [c for c in n.children if c not in remap]
+                if pending:
+                    stack.extend(reversed(pending))
+                    continue
+                stack.pop()
+                remap[idx] = len(nodes)
+                nodes.append(Node(n.kind, tuple(remap[c] for c in n.children),
+                                  n.width, n.port, n.value, n.count))
+        outputs = [(port, remap[idx]) for port, idx in self.outputs]
         d = Design(self.name, list(self.inputs), outputs, nodes)
         d.validate()
         return d

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from powersat.extract import (
     selection_cost,
     solve,
 )
-from powersat.ir import parse_design, print_design
+from powersat.ir import Design, DesignBuilder, parse_design, print_design
 from powersat.rewrite import apply_rules, rules_by_name
 from powersat.simulate import choose_representatives, graph_activity, simulate
 from powersat.power import class_scores
@@ -440,6 +442,41 @@ def test_reconstruct_identity_round_trips():
     g.add_expr(d)
     sol = solve(build_problem(g, zero_scores(g)))
     assert reconstruct(g, sol, d) == d
+
+
+def _chain(depth: int) -> Design:
+    """A `depth`-deep alternating add/xor chain over two inputs."""
+    b = DesignBuilder("chain")
+    b.add_input("a", 4)
+    b.add_input("b", 4)
+    top = b.var("a")
+    for i in range(depth):
+        top = b.op("add" if i % 2 else "xor", top, b.var("b"))
+    b.add_output("y", top)
+    return b.finish()
+
+
+def test_chain_deeper_than_the_recursion_limit_round_trips():
+    d = _chain(2000)
+    assert len(d.nodes) == 2002
+    g = EGraph()
+    g.add_expr(d)
+    assert reconstruct(g, ExtractionSolution(seed_from_design(g, d)), d) == d
+
+
+def test_reconstruct_leaves_no_reference_cycle():
+    d = _chain(8)
+    g = EGraph()
+    g.add_expr(d)
+    sol = ExtractionSolution(seed_from_design(g, d))
+    alive = weakref.ref(g)
+    gc.disable()
+    try:
+        assert reconstruct(g, sol, d) == d
+        del g
+        assert alive() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
 
 
 def test_reconstruct_gated_multiplier():
