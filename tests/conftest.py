@@ -1,12 +1,17 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the Hypothesis profile."""
 
 import pytest
+from hypothesis import settings
 
 from powersat import benchmarks
 from powersat.egraph import EGraph
 from powersat.rewrite import apply_rules, rules_by_name
 from powersat.simulate import choose_representatives, simulate
 from powersat.stimulus import generate_stimuli
+
+# No per-example deadline: on a loaded machine a slow example is not a failure.
+settings.register_profile("powersat", deadline=None)
+settings.load_profile("powersat")
 
 
 @pytest.fixture(scope="session")

@@ -174,7 +174,7 @@ def test_width_of_a_merged_away_id():
     assert g.class_width(gone) == 4
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 10**9))
 def test_random_merges_keep_invariants(seed):
     rng = random.Random(seed)
@@ -203,7 +203,7 @@ def test_rebuild_keeps_parent_lists_of_absorbed_classes():
     g.check_invariants()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 10**9), st.integers(1, 3))
 def test_rewriting_keeps_invariants(seed, iters):
     g = EGraph()

@@ -157,7 +157,7 @@ def test_builder_validates_arity():
         b.op("add", b.var("a"))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.integers(0, 10**9))
 def test_roundtrip_random_designs(seed):
     d = random_design(random.Random(seed))

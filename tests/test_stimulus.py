@@ -205,7 +205,7 @@ def reference_stream(seed: int, port: str, bit: int, spec: PortSpec, cycles: int
     return bits
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(-(1 << 64), 1 << 65),
     port=st.text(min_size=1, max_size=8),
