@@ -26,7 +26,14 @@ from .extract import (
 from .ir import NetlistError, parse_design, print_design
 from .power import AreaModel, PowerError, class_scores
 from .rewrite import apply_rules, rules_by_name
-from .simulate import SimulationError, choose_representatives, graph_activity, simulate
+# `simulate` is unused here but stays bound: perfbench/spans.py wraps it by name.
+from .simulate import (
+    SimulationError,
+    choose_representatives,
+    class_waveforms,
+    graph_activity,
+    simulate,
+)
 from .stimulus import StimulusConfig, StimulusError, generate_stimuli
 
 SCHEMA_VERSION = 2
@@ -90,12 +97,14 @@ def run(args: argparse.Namespace) -> int:
     stimuli = generate_stimuli(cfg, design)
     t = lap("stimuli", t)
 
+    # Each phase's products are dropped once the next phase has read them.
     rep = choose_representatives(g, origin=g.design_enodes(design))
-    waves = simulate(g, rep, stimuli)
-    stats = graph_activity(waves)
+    stats = graph_activity(class_waveforms(g, rep, stimuli))
+    del rep, stimuli
     t = lap("simulate", t)
 
     scores = class_scores(g, stats, model=model, mode=args.mode)
+    del stats
     t = lap("score", t)
 
     seed_choice = seed_from_design(g, design)
@@ -104,9 +113,9 @@ def run(args: argparse.Namespace) -> int:
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(lp_text(problem))
     baseline = selection_cost(problem, _closure(g, seed_choice, problem.roots))
-    # Nothing below reads the waveforms, activity or scores. Extraction sets
-    # the memory peak on large graphs; freed, they make room for its tables.
-    del rep, waves, stats, scores
+    # Extraction sets the memory peak on large graphs; freed, the scores
+    # make room for its tables.
+    del scores
     solution = solve(problem, time_budget=args.time_budget)
     t = lap("extract", t)
 

@@ -57,7 +57,9 @@ class _EClass:
 
     def __init__(self):
         self.nodes: set[ENode] = set()
-        self.parents: list[tuple[ENode, int]] = []
+        # The nodes that read this class, each followed by its class id: a
+        # flat list, not one (node, class) tuple an entry.
+        self.parents: list[ENode | int] = []
 
 
 @dataclass
@@ -74,7 +76,8 @@ class EGraph:
     Merges queue the surviving class and leave congruence broken until
     rebuild() (deferred rebuilding, as in egg). Each class lists the
     (node, class) pairs that read it, so rebuild finds exactly the nodes a
-    merge made stale.
+    merge made stale. A rebuild hands out one object per re-canonicalized
+    form, shared by the member set, the hashcons and the parent lists.
     """
 
     def __init__(self):
@@ -89,10 +92,10 @@ class EGraph:
         self.version = 0
         self._members = _SortedMembers(self._classes)
         self._members_version = self.version
-        # (creation index, rule) of the rewrite that introduced each node,
-        # "design" for seeded nodes. A node re-canonicalized from older ones
-        # keeps the tag of the earliest, so tags never follow set order.
-        # `compact_hashcons` drops the forms that are no longer live.
+        # (creation index, rule) of the rewrite that introduced each live
+        # node, "design" for seeded nodes. `rebuild` moves a re-canonicalized
+        # member's tag to its new form, and where forms meet the earliest
+        # tag wins, so tags never follow set order.
         self.made_by: dict[ENode, tuple[int, str]] = {}
         self.origin_tag = "design"
 
@@ -121,13 +124,7 @@ class EGraph:
         ch = tuple(map(self.find, n.children))
         if ch == n.children:
             return n
-        out = ENode(n.kind, ch, n.width, n.port, n.value, n.count)
-        tag = self.made_by.get(n)
-        if tag is not None:
-            prev = self.made_by.get(out)
-            if prev is None or tag < prev:
-                self.made_by[out] = tag
-        return out
+        return ENode(n.kind, ch, n.width, n.port, n.value, n.count)
 
     def add(self, n: ENode) -> int:
         return self.add_canonical(self.canonicalize(n))
@@ -141,7 +138,7 @@ class EGraph:
         self._classes[cid].nodes.add(n)
         self.made_by.setdefault(n, (self.version, self.origin_tag))
         for c in set(n.children):
-            self._classes[c].parents.append((n, cid))
+            self._classes[c].parents += (n, cid)
         self._hashcons[n] = cid
         self.version += 1
         return cid
@@ -192,18 +189,29 @@ class EGraph:
         self.version += 1
         return a
 
-    def _repair(self, cid: int, touched: set[int]) -> None:
+    def _repair(self, cid: int, touched: set[int], interned: dict[ENode, ENode]) -> None:
         cls = self._classes.get(cid)
         if cls is None:
             return
         # Re-canonicalize parents; congruent parents collapse via the hashcons.
         # The list is detached first: merges below extend the survivor's list.
         old_parents, cls.parents = cls.parents, []
-        for pnode, pcls in old_parents:
+        pnodes, owners = old_parents[::2], old_parents[1::2]
+        for pnode in pnodes:
             self._hashcons.pop(pnode, None)
+        # A parent already canonical is the live object of its form; a
+        # re-canonicalized parent equal to it takes that object.
+        forms = [self.canonicalize(p) for p in pnodes]
+        for p, n in zip(pnodes, forms):
+            if n is p:
+                interned.setdefault(n, n)
+        version = self.version
         fresh: dict[ENode, int] = {}
-        for pnode, pcls in old_parents:
-            n = self.canonicalize(pnode)
+        for pnode, n, pcls in zip(pnodes, forms, owners):
+            if self.version != version:  # a merge below may have staled the form
+                n = self.canonicalize(pnode)
+            if n is not pnode:
+                n = self._intern(n, interned)
             pcls = self.find(pcls)
             if n in fresh and fresh[n] != pcls:
                 pcls = self.merge(fresh[n], pcls)
@@ -214,41 +222,62 @@ class EGraph:
                 fresh[n] = pcls
             self._hashcons[n] = pcls
         touched.update(fresh.values())
-        self._classes[self.find(cid)].parents.extend(fresh.items())
+        parents = self._classes[self.find(cid)].parents
+        for entry in fresh.items():
+            parents += entry
 
     def rebuild(self) -> None:
         """Restore congruence in one worklist pass.
 
         A queued class re-canonicalizes its parents, merging those the
         hashcons shows congruent, which queues more classes; then the parent
-        classes touched re-canonicalize their members. Hashcons keys with
-        stale children remain until `compact_hashcons` but cannot be hit: a
-        lookup's key has only root children, and a merged-away id never
-        becomes a root again.
+        classes touched re-canonicalize their members, each stale member's
+        tag moving to its new form. Every form made on the way is one
+        object. Hashcons keys with stale children remain until
+        `compact_hashcons` but cannot be hit: a lookup's key has only root
+        children, and a merged-away id never becomes a root again.
         """
         touched: set[int] = set()
+        interned: dict[ENode, ENode] = {}  # form -> its one object
         while self._worklist:
             todo = {self.find(c) for c in self._worklist}
             self._worklist.clear()
             for cid in sorted(todo):
-                self._repair(cid, touched)
+                self._repair(cid, touched, interned)
+        made_by = self.made_by
         for cid in {self.find(c) for c in touched}:
             cls = self._classes[cid]
-            cls.nodes = {self.canonicalize(n) for n in cls.nodes}
+            members = set()
+            for n in cls.nodes:
+                m = self.canonicalize(n)
+                if m is not n:
+                    m = self._intern(m, interned)
+                    tag, prev = made_by.pop(n), made_by.get(m)
+                    if prev is None or tag < prev:
+                        made_by[m] = tag
+                members.add(m)
+            cls.nodes = members
+
+    def _intern(self, n: ENode, interned: dict[ENode, ENode]) -> ENode:
+        """The one object of re-canonicalized form `n` during a rebuild: the
+        live member of that form if there is one, else the first handed out."""
+        obj = interned.get(n)
+        if obj is None:
+            hit = self._hashcons.get(n)
+            if hit is not None:
+                obj = next((m for m in self._classes[self.find(hit)].nodes if m == n), None)
+            obj = interned[n] = n if obj is None else obj
+        return obj
 
     def compact_hashcons(self) -> None:
-        """Rebuild the hashcons and `made_by` from the live members, after a
-        rebuild.
+        """Rebuild the hashcons from the live members, after a rebuild.
 
         Repairs pop parent keys and insert their repaired forms, which
         leaves stale keys behind and the table larger than its live keys
         need: 1.31 MB for 8,349 keys against 0.29 MB for the 8,244 live ones
-        on the combinational add-tree at 4 iterations. `made_by` keeps every
-        form a node ever had (18,193 keys there); a live form already holds
-        the earliest tag of the forms it replaced, so the rest go.
+        on the combinational add-tree at 4 iterations.
         """
         self._hashcons = {n: cid for cid, cls in self._classes.items() for n in cls.nodes}
-        self.made_by = {n: self.made_by[n] for n in self._hashcons}
 
     # -- queries -----------------------------------------------------------
 
@@ -287,7 +316,8 @@ class EGraph:
         """Canonical ids and members, each member in one class, under its
         class in the hashcons and in the parent list of every child class;
         for tests and debugging."""
-        listed = {cid: {(self.canonicalize(p), self.find(pc)) for p, pc in cls.parents}
+        listed = {cid: {(self.canonicalize(p), self.find(pc))
+                        for p, pc in zip(cls.parents[::2], cls.parents[1::2])}
                   for cid, cls in self._classes.items()}
         seen: dict[ENode, int] = {}
         for cid, cls in self._classes.items():

@@ -8,6 +8,7 @@ import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .egraph import COUNT_CAP, EGraph, EGraphError, ENode
 from .ir import WidthError, infer_width
@@ -93,12 +94,21 @@ class Rewrite:
 # costs CPython as much as the nested generators it would replace. Which
 # names are bound at each point is fixed by the pattern, so each bound class
 # or operator lives in one local variable: a repeated name compiles to an
-# equality test, and the substitution dict is built once per match. The
-# generated code reads e-nodes by index: kind 0, children 1, width 2,
-# value 4, count 5.
+# equality test. A match is the tuple of the matched class and the bound
+# locals; a second generated function turns it into a substitution dict
+# when the match is applied. The generated code reads e-nodes by index:
+# kind 0, children 1, width 2, value 4, count 5.
 
 
-def _compile(pat: Pattern) -> Callable[[EGraph], list[tuple[int, Subst]]]:
+class _Matcher(NamedTuple):
+    """A compiled left side: `match(g)` lists the match keys (class, then
+    each bound class or operator), `subst(key)` makes one a substitution."""
+
+    match: Callable[[EGraph], list[tuple]]
+    subst: Callable[[tuple], Subst]
+
+
+def _compile(pat: Pattern) -> _Matcher:
     lines = [
         "def match(g):",
         "    find, width = g.find, g.class_width",
@@ -133,11 +143,10 @@ def _compile(pat: Pattern) -> Callable[[EGraph], list[tuple[int, Subst]]]:
         # canonical class; one loop per node pattern, nested in visit order
         if not goals:
             key = ", ".join(["cid", *regs.values()])
-            subst = ", ".join(f"{name!r}: {var}" for name, var in regs.items())
             emit(depth, f"key = ({key},)")
             emit(depth, "if key not in seen:")
             emit(depth + 1, "seen.add(key)")
-            emit(depth + 1, f"out.append((cid, {{{subst}}}))")
+            emit(depth + 1, "out.append(key)")
             return
         (p, c), rest = goals[0], goals[1:]
         n = f"n{fresh()}"
@@ -186,11 +195,13 @@ def _compile(pat: Pattern) -> Callable[[EGraph], list[tuple[int, Subst]]]:
 
     step([(pat, "cid")], 2)
     lines.append("    return out")
+    subst = ", ".join(f"{name!r}: key[{i}]" for i, name in enumerate(regs, 1))
+    lines += ["def subst(key):", f"    return {{{subst}}}"]
     try:
         exec(compile("\n".join(lines), f"<match {pat!r}>", "exec"), namespace)
     except SyntaxError as e:  # CPython allows 20 nested loops
         raise EGraphError(f"pattern too deep to compile: {e.msg}") from e
-    return namespace["match"]
+    return _Matcher(namespace["match"], namespace["subst"])
 
 
 # Patterns are frozen values, so each distinct one compiles once.
@@ -200,7 +211,8 @@ _matcher = functools.cache(_compile)
 def ematch(g: EGraph, pat: Pattern) -> list[tuple[int, Subst]]:
     """All (class, substitution) pairs where the pattern matches, deduplicated,
     in deterministic class-id order."""
-    return _matcher(pat)(g)
+    m = _matcher(pat)
+    return [(key[0], m.subst(key)) for key in m.match(g)]
 
 
 def instantiate(g: EGraph, pat: Pattern, subst: Subst) -> int:
@@ -458,25 +470,30 @@ def apply_rules(
     designs = 0
     for it in range(1, max_iters + 1):
         before = g.version
-        found: dict[Pattern, list[tuple[int, Subst]]] = {}
-        matches: list[tuple[Rewrite, int, Subst]] = []
+        # Each rule with its match keys; rules sharing a left side share one
+        # list, and a condition filters against the frozen graph.
+        found: dict[Pattern, list[tuple]] = {}
+        batch: list[tuple[Rewrite, Callable[[tuple], Subst], list[tuple]]] = []
         for rule in rules:
-            lhs_matches = found.get(rule.lhs)
-            if lhs_matches is None:
-                lhs_matches = found[rule.lhs] = ematch(g, rule.lhs)
-            for cid, subst in lhs_matches:
-                if rule.cond is None or rule.cond(g, subst):
-                    matches.append((rule, cid, subst))
-        for rule, cid, subst in matches:
+            m = _matcher(rule.lhs)
+            keys = found.get(rule.lhs)
+            if keys is None:
+                keys = found[rule.lhs] = m.match(g)
+            if rule.cond is not None:
+                keys = [k for k in keys if rule.cond(g, m.subst(k))]
+            batch.append((rule, m.subst, keys))
+        for rule, subst, keys in batch:
             g.origin_tag = rule.name
             try:
-                new_cid = instantiate(g, rule.rhs, subst)
+                for key in keys:
+                    new_cid = instantiate(g, rule.rhs, subst(key))
+                    lhs_cid = g.find(key[0])
+                    if g.class_width(lhs_cid) != g.class_width(new_cid):
+                        raise EGraphError(f"rule {rule.name} changed width on class {lhs_cid}")
+                    g.merge(lhs_cid, new_cid)
             finally:
                 g.origin_tag = "design"
-            lhs_cid = g.find(cid)
-            if g.class_width(lhs_cid) != g.class_width(new_cid):
-                raise EGraphError(f"rule {rule.name} changed width on class {lhs_cid}")
-            g.merge(lhs_cid, new_cid)
+        del found, batch  # the match lists go before the rebuild grows the graph
         g.rebuild()
         if designs != COUNT_CAP:
             designs = g.count_designs()

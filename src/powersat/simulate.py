@@ -11,9 +11,12 @@ itself through a register is stepped a cycle at a time, with the same table.
 
 Class waveforms are stored in their width's `word_dtype`, 1 to 8 bytes a
 cycle. Operators compute in uint64 (Python ints past 64 bits), and a result
-narrows only after its width check.
+narrows only after its width check. `class_waveforms` yields them one class
+at a time and keeps each only until its last reader is simulated, so
+`graph_activity` can count a whole graph without holding every waveform.
 """
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,10 +182,10 @@ def _combinational_order(g: EGraph, rep: dict[int, ENode], group: list[int]) -> 
 def _step_loop(
     g: EGraph, rep: dict[int, ENode], group: list[int], waves: dict[int, np.ndarray],
     cycles: int,
-) -> None:
+) -> list[int]:
     """Simulate a group of classes that reads itself through a register, one
     cycle at a time: registers by their update rule, everything else by `_OPS`
-    on the cycle's samples."""
+    on the cycle's samples. Returns the group in the order it was stepped."""
     order = _combinational_order(g, rep, group)
     for cid in order:
         waves[cid] = np.zeros(cycles, dtype=word_dtype(rep[cid].width))
@@ -202,45 +205,76 @@ def _step_loop(
             if int(v) >> n.width:
                 raise SimulationError(f"value {int(v)} overflows width of class {cid}")
             own[i] = v
+    return order
 
 
-def simulate(
+def class_waveforms(
     g: EGraph, rep: dict[int, ENode], stimuli: dict[str, Waveform]
-) -> dict[int, Waveform]:
-    """Waveform of every class under its representative. Every value is
-    checked against the class width."""
+) -> Iterator[tuple[int, Waveform]]:
+    """(class, waveform) of every class under its representative, each class
+    after the classes it reads. Every value is checked against the class
+    width. A class's array is dropped here once every class reading it has
+    been simulated, so only the caller keeps what it has been given."""
     cycle_counts = {w.cycles for w in stimuli.values()}
     if len(cycle_counts) != 1:
         raise SimulationError(f"stimuli disagree on cycle count: {sorted(cycle_counts)}")
     cycles = cycle_counts.pop()
     reads = {cid: [g.find(c) for c in n.children] for cid, n in rep.items()}
+    readers = dict.fromkeys(reads, 0)  # distinct classes still to read each class
     for cid, r in reads.items():
         if any(c not in rep for c in r):
             raise SimulationError(f"class {cid} reads a class with no representative")
+        for c in set(r):
+            readers[c] += 1
     waves: dict[int, np.ndarray] = {}
     for group in strongly_connected(reads):
         if closes_cycle(group, reads):
-            _step_loop(g, rep, group, waves, cycles)
-            continue
-        cid = group[0]
-        n = rep[cid]
-        out = _node_wave(n, [waves[c] for c in reads[cid]],
-                         [g.class_width(c) for c in reads[cid]], stimuli, cycles)
-        waves[cid] = out if n.kind in ("var", "const") else _fit(out, n.width, cid)
-    return {cid: Waveform(rep[cid].width, w) for cid, w in waves.items()}
+            group = _step_loop(g, rep, group, waves, cycles)
+        else:
+            cid = group[0]
+            n = rep[cid]
+            out = _node_wave(n, [waves[c] for c in reads[cid]],
+                             [g.class_width(c) for c in reads[cid]], stimuli, cycles)
+            waves[cid] = out if n.kind in ("var", "const") else _fit(out, n.width, cid)
+        for cid in group:
+            yield cid, Waveform(rep[cid].width, waves[cid])
+        for cid in group:
+            for c in set(reads[cid]):
+                readers[c] -= 1
+        for c in {c for cid in group for c in (cid, *reads[cid])}:
+            if not readers[c]:
+                del waves[c]
 
 
-@dataclass(frozen=True)
+def simulate(
+    g: EGraph, rep: dict[int, ENode], stimuli: dict[str, Waveform]
+) -> dict[int, Waveform]:
+    """Waveform of every class under its representative, in simulation
+    order (`class_waveforms`, held whole)."""
+    return dict(class_waveforms(g, rep, stimuli))
+
+
+@dataclass(frozen=True, slots=True)
 class ActivityStats:
-    """Switching statistics of one waveform."""
+    """Switching statistics of one waveform: its per-bit counts and the word
+    averages scoring reads; the per-bit rates are derived on access."""
 
     width: int
     cycles: int
     toggles: tuple[int, ...]  # per-bit transition counts
-    rates: tuple[float, ...]  # per-bit toggle rates, transitions/(cycles-1)
+    ones: tuple[int, ...]  # per-bit count of cycles spent at 1
     word_rate: float  # arithmetic mean of the per-bit rates
-    static_prob: tuple[float, ...]  # per-bit fraction of cycles spent at 1
     static_prob_mean: float
+
+    @property
+    def rates(self) -> tuple[float, ...]:
+        """Per-bit toggle rates, transitions/(cycles-1)."""
+        return tuple(t / (self.cycles - 1) for t in self.toggles)
+
+    @property
+    def static_prob(self) -> tuple[float, ...]:
+        """Per-bit fraction of cycles spent at 1."""
+        return tuple(o / self.cycles for o in self.ones)
 
 
 def _bit_counts(rows: np.ndarray, width: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -263,9 +297,8 @@ def _stats(width: int, cycles: int, toggles: list[int], ones: list[int]) -> Acti
         width=width,
         cycles=cycles,
         toggles=tuple(toggles),
-        rates=rates,
+        ones=tuple(ones),
         word_rate=sum(rates) / width,
-        static_prob=probs,
         static_prob_mean=sum(probs) / width,
     )
 
@@ -275,29 +308,45 @@ def activity(w: Waveform) -> ActivityStats:
     return graph_activity({0: w})[0]
 
 
-# Waveforms counted per batch: bounds the temporaries of one batch to about a MB
-# at 2,000 cycles and 8 bits.
-_ACTIVITY_BATCH = 256
+# Waveforms counted per batch: bounds the rows and temporaries of one batch to
+# about 0.3 MB at 2,000 cycles and 8 bits.
+_ACTIVITY_BATCH = 64
 
 
-def graph_activity(waves: dict[int, Waveform]) -> dict[int, ActivityStats]:
-    """`activity` of every waveform, counted in batches of equal shape."""
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for cid, w in waves.items():
+def _count_batch(width: int, cycles: int, batch: list[tuple[int, np.ndarray]],
+                 stats: dict[int, ActivityStats]) -> None:
+    rows = np.empty((len(batch), cycles), dtype=word_dtype(width))
+    for i, (_, array) in enumerate(batch):
+        rows[i] = array
+    toggles, ones = _bit_counts(rows, width)
+    for (cid, _), t, o in zip(batch, toggles, ones):
+        stats[cid] = _stats(width, cycles, t, o)
+
+
+def graph_activity(
+    waves: dict[int, Waveform] | Iterable[tuple[int, Waveform]]
+) -> dict[int, ActivityStats]:
+    """`activity` of every waveform of a dict or a stream of (class,
+    waveform) pairs, in the order given. Waveforms of one shape are counted
+    once a batch of them fills, then dropped, so a stream is never held
+    whole."""
+    pairs = waves.items() if isinstance(waves, dict) else waves
+    pending: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
+    stats: dict[int, ActivityStats] = {}
+    order: list[int] = []
+    for cid, w in pairs:
         if w.cycles < 2:
             raise SimulationError("activity needs at least two cycles")
-        shapes.setdefault((w.width, w.cycles), []).append(cid)
-    stats: dict[int, ActivityStats] = {}
-    for (width, cycles), cids in shapes.items():
-        for start in range(0, len(cids), _ACTIVITY_BATCH):
-            batch = cids[start:start + _ACTIVITY_BATCH]
-            rows = np.empty((len(batch), cycles), dtype=word_dtype(width))
-            for i, cid in enumerate(batch):
-                rows[i] = waves[cid].array
-            toggles, ones = _bit_counts(rows, width)
-            for cid, t, o in zip(batch, toggles, ones):
-                stats[cid] = _stats(width, cycles, t, o)
-    return {cid: stats[cid] for cid in waves}
+        order.append(cid)
+        batch = pending.setdefault((w.width, w.cycles), [])
+        batch.append((cid, w.array))
+        if len(batch) == _ACTIVITY_BATCH:
+            _count_batch(w.width, w.cycles, batch, stats)
+            batch.clear()
+    for (width, cycles), batch in pending.items():
+        if batch:
+            _count_batch(width, cycles, batch, stats)
+    return {cid: stats[cid] for cid in order}
 
 
 def activity_csv(stats: dict[int, ActivityStats]) -> str:

@@ -2,6 +2,7 @@
 
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 from powersat.egraph import EGraph, ENode, node_key
@@ -85,6 +86,30 @@ def random_design(rng: random.Random, max_nodes: int = 10, name: str = "rand",
     sinks = [i for i in range(len(b.nodes)) if i not in used]
     for k, idx in enumerate(sinks):  # every node reachable from some output
         b.add_output(f"y{k}", idx)
+    return b.finish()
+
+
+def traced_peak(fn):
+    """`fn()`'s result and the most bytes Python held at once while it ran,
+    as tracemalloc counts them from its start."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def chain(depth: int) -> Design:
+    """A `depth`-deep alternating add/xor chain over two inputs."""
+    b = DesignBuilder("chain")
+    b.add_input("a", 4)
+    b.add_input("b", 4)
+    top = b.var("a")
+    for i in range(depth):
+        top = b.op("add" if i % 2 else "xor", top, b.var("b"))
+    b.add_output("y", top)
     return b.finish()
 
 

@@ -24,7 +24,7 @@ from powersat.rewrite import (
     _n,
 )
 
-from _util import EVERY_KIND, random_design, src_env
+from _util import EVERY_KIND, random_design, src_env, traced_peak
 
 FIG1 = """
 (module fig1
@@ -444,3 +444,46 @@ def test_corpus_matches_are_pinned(name, iters, digest, total):
 def test_mixed_matches_are_pinned(draw, digest, total):
     d = random_design(random.Random(f"mixed/{draw}"), max_nodes=24, kinds=EVERY_KIND)
     assert match_fingerprint(d, 2) == (digest, total)
+
+
+def one_object_per_form(g):
+    """Every parent entry that is a live member is that very member object,
+    and provenance is kept for the live members only."""
+    live = {n: n for cid in g.class_ids() for n in g.nodes_of(cid)}
+    for cls in g._classes.values():
+        for p in cls.parents[::2]:
+            assert live.get(p, p) is p
+    assert set(g.made_by) == set(live)
+
+
+def checked_after_every_rebuild(g):
+    rebuild = g.rebuild
+
+    def checked():
+        rebuild()
+        one_object_per_form(g)
+    g.rebuild = checked
+    return g
+
+
+@pytest.mark.parametrize("draw", [None] + [draw for draw, *_ in MIXED_SATURATION])
+def test_rebuild_keeps_one_object_per_form(draw):
+    if draw is None:
+        d, iters = benchmarks.design("comb_mux_add_tree"), 3
+    else:
+        d = random_design(random.Random(f"mixed/{draw}"), max_nodes=24, kinds=EVERY_KIND)
+        iters = 2
+    g = EGraph()
+    g.add_expr(d)
+    apply_rules(checked_after_every_rebuild(g), rule_library(), max_iters=iters)
+    one_object_per_form(g)
+
+
+def test_rewriting_memory_is_bounded():
+    # before live forms shared one object, parent lists were tuples and
+    # match lists held dicts, the peak was 14.1 MB (tracemalloc)
+    g = EGraph()
+    g.add_expr(benchmarks.design("comb_mux_add_tree"))
+    report, peak = traced_peak(lambda: apply_rules(g, rule_library(), max_iters=4))
+    assert report.iterations[-1].nodes == 8244
+    assert peak < 12 << 20
