@@ -56,15 +56,17 @@ _UNMASKED = {"and": operator.and_, "or": operator.or_, "xor": operator.xor,
 
 
 def simulate_design(
-    d: Design, stimuli: dict[str, Waveform]
+    d: Design, stimuli: dict[str, Waveform], cycles: int | None = None
 ) -> tuple[dict[str, Waveform], list[list[int]]]:
     """Outputs and per-node waveforms of one design under explicit stimuli,
-    over as many cycles as the shortest input stimulus.
+    over `cycles` cycles, by default as many as the shortest input stimulus
+    (none for a design without inputs).
 
     Children precede their node, so each node's whole waveform is computed
     from its children's in one pass; only registers step through the cycles.
     """
-    cycles = min(stimuli[p].cycles for p, _ in d.inputs) if d.inputs else 0
+    if cycles is None:
+        cycles = min(stimuli[p].cycles for p, _ in d.inputs) if d.inputs else 0
     values: list[list[int]] = []
     for n in d.nodes:
         k = n.kind
@@ -112,18 +114,20 @@ def simulate_design(
     return outputs, values
 
 
-def cosimulate(d1: Design, d2: Design, stimuli: dict[str, Waveform]) -> Mismatch | None:
-    """Run both designs on the same stimuli; None means cycle-for-cycle equal."""
+def cosimulate(
+    d1: Design, d2: Design, stimuli: dict[str, Waveform], cycles: int | None = None
+) -> Mismatch | None:
+    """Run both designs on the same stimuli, over `cycles` cycles as in
+    `simulate_design`; None means cycle-for-cycle equal."""
     if d1.signature() != d2.signature():
         raise EquivError(
             f"port signatures differ: {d1.signature()} vs {d2.signature()}"
         )
-    out1, _ = simulate_design(d1, stimuli)
-    out2, _ = simulate_design(d2, stimuli)
+    out1, _ = simulate_design(d1, stimuli, cycles)
+    out2, _ = simulate_design(d2, stimuli, cycles)
     if all(out1[port].values == out2[port].values for port, _ in d1.outputs):
         return None
-    cycles = min(w.cycles for w in stimuli.values())
-    for i in range(cycles):
+    for i in range(min(len(w.values) for w in out1.values())):
         for port, _ in d1.outputs:
             a, b = out1[port].values[i], out2[port].values[i]
             if a != b:
@@ -202,7 +206,7 @@ def exhaustive_check(
             break  # no later stream can come before it
     if first is None:
         return None
-    mm = cosimulate(d1, d2, _decode_scenario(d1, first[2], max_cycles))
+    mm = cosimulate(d1, d2, _decode_scenario(d1, first[2], max_cycles), max_cycles)
     if mm is None:  # cannot happen; decoded from a differing scenario
         raise EquivError("scenario decode failed to reproduce mismatch")
     return mm

@@ -1,6 +1,5 @@
 import hashlib
 import random
-import tracemalloc
 
 import pytest
 
@@ -18,7 +17,7 @@ from powersat.ir import parse_design, print_design
 from powersat.rewrite import PConst, PNode, PRep, PVar, Rewrite, rules_by_name
 from powersat.stimulus import Waveform, generate_stimuli
 
-from _util import EVERY_KIND, random_design, random_stimuli
+from _util import EVERY_KIND, random_design, random_stimuli, traced_peak
 
 REG = "(module r (input a 4) (input en 1) (output q (reg a en)))"
 TREG = "(module r (input a 4) (input en 1) (output q (treg a en)))"
@@ -305,13 +304,19 @@ def test_exhaustive_mismatch_across_blocks_is_pinned(case, monkeypatch):
 def test_exhaustive_check_memory_is_bounded():
     d = parse_design("(module m (input a 1) (input b 1) (input c 1) (input en 1)"
                      " (output q (treg (reg (xor a c) en) (reg b en))))")
-    tracemalloc.start()
-    try:
-        assert exhaustive_check(d, d, 5) is None  # 20 stream bits
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(lambda: exhaustive_check(d, d, 5))
+    assert result is None  # 20 stream bits
     assert peak < 32 << 20
+
+
+def test_exhaustive_check_of_designs_without_inputs():
+    # the replay runs the enumerated cycle count, not one read off the
+    # (absent) input stimuli
+    d1 = parse_design("(module m (output y (reg (const 2 1) (const 1 1))))")
+    d2 = parse_design("(module m (output y (treg (const 2 1) (const 1 1))))")
+    assert exhaustive_check(d1, d2, 3) == Mismatch(cycle=0, port="y", expected=0, actual=1,
+                                                   stimuli={})
+    assert exhaustive_check(d1, d1, 3) is None
 
 
 def _oracle_first_mismatch(d1, d2, cycles):
