@@ -376,6 +376,29 @@ class _Parser:
             raise ParseError(str(e), 1, 1) from None
 
     def expr(self, b: DesignBuilder) -> int:
+        """One expression. Open operators wait on an explicit stack while
+        their operands are parsed, so nesting is not bounded by Python's
+        recursion limit; nodes are built in the same post-order."""
+        stack: list[tuple[_Tok, str, int, list[int]]] = []
+        while True:
+            idx = self._leaf_or_open(b, stack)
+            while True:
+                if idx is not None:
+                    if not stack:
+                        return idx
+                    stack[-1][3].append(idx)
+                head = stack[-1][0]
+                t = self._peek()
+                if t is None:
+                    raise ParseError("unexpected end of input, expected ')'", head.line, head.col)
+                if t.kind != ")":
+                    break
+                self.pos += 1
+                idx = self._close(b, *stack.pop())
+
+    def _leaf_or_open(self, b: DesignBuilder, stack: list) -> int | None:
+        """Parse a name or a constant and return its node, or open an
+        operator onto `stack` and return None."""
         t = self._next("expression")
         if t.kind == "atom":
             if not _IDENT.match(t.text):
@@ -407,15 +430,12 @@ class _Parser:
             op = "rep"
         elif op not in ARITY or op in ("var", "add3"):
             raise ParseError(f"unknown operator {op!r}", head.line, head.col)
-        children = []
-        while True:
-            t = self._peek()
-            if t is None:
-                raise ParseError("unexpected end of input, expected ')'", head.line, head.col)
-            if t.kind == ")":
-                self.pos += 1
-                break
-            children.append(self.expr(b))
+        stack.append((head, op, count, []))
+        return None
+
+    def _close(self, b: DesignBuilder, head: _Tok, op: str, count: int,
+               children: list[int]) -> int:
+        """Build an operator whose operands and ')' have been read."""
         if op == "add" and len(children) == 3:
             op = "add3"
         if len(children) != ARITY[op]:
@@ -434,13 +454,27 @@ def parse_design(text: str) -> Design:
 
 
 def _render(d: Design, idx: int) -> str:
-    n = d.nodes[idx]
-    if n.kind == "var":
-        return n.port
-    if n.kind == "const":
-        return f"(const {n.width} {n.value})"
-    name = f"rep{n.count}" if n.kind == "rep" else ("add" if n.kind == "add3" else n.kind)
-    return f"({name} " + " ".join(_render(d, c) for c in n.children) + ")"
+    """One expression as text, walked on an explicit stack of node indices
+    and literal text, so depth is not bounded by Python's recursion limit."""
+    parts: list[str] = []
+    todo: list[int | str] = [idx]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        n = d.nodes[item]
+        if n.kind == "var":
+            parts.append(n.port)
+        elif n.kind == "const":
+            parts.append(f"(const {n.width} {n.value})")
+        else:
+            name = f"rep{n.count}" if n.kind == "rep" else ("add" if n.kind == "add3" else n.kind)
+            parts.append(f"({name}")
+            todo.append(")")
+            for c in reversed(n.children):
+                todo += (c, " ")
+    return "".join(parts)
 
 
 def print_design(d: Design) -> str:

@@ -9,7 +9,7 @@ from powersat import cli
 from powersat.equiv import Mismatch, cosimulate
 from powersat.ir import parse_design, print_design
 
-from _util import flat_adders, random_stimuli, src_env
+from _util import chain, flat_adders, random_stimuli, src_env
 
 FIG1 = """
 (module fig1
@@ -274,3 +274,16 @@ def test_selection_deeper_than_the_recursion_limit_exits_0(tmp_path, capsys):
                 "--output", tmp_path / "opt.dsl", "--report", rep)
     assert rc == 0, capsys.readouterr().err
     assert json.loads(rep.read_text())["solver"]["proven_optimal"] is True
+
+
+def test_chain_deeper_than_the_recursion_limit_exits_0(tmp_path, capsys):
+    d = chain(1200)
+    dsl = tmp_path / "chain.dsl"
+    dsl.write_text(print_design(d))
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({"cycles": 64, "seed": 1,
+                               "inputs": {p: {"toggle_rate": 0.5} for p, _ in d.inputs}}))
+    out = tmp_path / "opt.dsl"
+    rc = invoke("--input", dsl, "--stimuli", cfg, "--max-iters", 1, "--output", out)
+    assert rc == 0, capsys.readouterr().err
+    assert parse_design(out.read_text()).signature() == d.signature()

@@ -22,13 +22,13 @@ from powersat.extract import (
     selection_cost,
     solve,
 )
-from powersat.ir import Design, DesignBuilder, parse_design, print_design
+from powersat.ir import parse_design, print_design
 from powersat.rewrite import apply_rules, rules_by_name
 from powersat.simulate import choose_representatives, graph_activity, simulate
 from powersat.power import class_scores
 from powersat.stimulus import StimulusConfig, generate_stimuli
 
-from _util import brute_force_min, cheapest_costlier_leaf, flat_adders, random_egraph
+from _util import brute_force_min, chain, cheapest_costlier_leaf, flat_adders, random_egraph
 
 FIG1 = """
 (module fig1
@@ -444,20 +444,8 @@ def test_reconstruct_identity_round_trips():
     assert reconstruct(g, sol, d) == d
 
 
-def _chain(depth: int) -> Design:
-    """A `depth`-deep alternating add/xor chain over two inputs."""
-    b = DesignBuilder("chain")
-    b.add_input("a", 4)
-    b.add_input("b", 4)
-    top = b.var("a")
-    for i in range(depth):
-        top = b.op("add" if i % 2 else "xor", top, b.var("b"))
-    b.add_output("y", top)
-    return b.finish()
-
-
 def test_chain_deeper_than_the_recursion_limit_round_trips():
-    d = _chain(2000)
+    d = chain(2000)
     assert len(d.nodes) == 2002
     g = EGraph()
     g.add_expr(d)
@@ -465,7 +453,7 @@ def test_chain_deeper_than_the_recursion_limit_round_trips():
 
 
 def test_reconstruct_leaves_no_reference_cycle():
-    d = _chain(8)
+    d = chain(8)
     g = EGraph()
     g.add_expr(d)
     sol = ExtractionSolution(seed_from_design(g, d))

@@ -15,7 +15,7 @@ from powersat.ir import (
     print_design,
 )
 
-from _util import random_design
+from _util import chain, random_design
 
 FIG1 = """
 (module fig1
@@ -98,6 +98,18 @@ def test_syntax_error_carries_position():
     with pytest.raises(ParseError) as e:
         parse_design("(module m\n  (input a 4)\n  (output y (add a)))")
     assert e.value.line == 3
+
+
+def test_chain_deeper_than_the_recursion_limit_round_trips_as_text():
+    d = chain(2000)
+    assert parse_design(print_design(d)) == d
+
+
+def test_error_deeper_than_the_recursion_limit_carries_position():
+    line = " (output y " + "(not " * 1500 + "(foo a)" + ")" * 1500 + ")"
+    with pytest.raises(ParseError, match="unknown operator 'foo'") as e:
+        parse_design("(module m (input a 4)\n" + line + ")")
+    assert (e.value.line, e.value.col) == (2, line.index("foo") + 1)
 
 
 def test_undeclared_port():
