@@ -12,6 +12,7 @@ from powersat import (
     choose_representatives,
     generate_stimuli,
     graph_activity,
+    seed_from_design,
     simulate,
 )
 
@@ -26,7 +27,7 @@ for port, spec in sorted(cfg.inputs.items()):
 stimuli = generate_stimuli(cfg, design)
 g = EGraph()
 g.add_expr(design)
-waves = simulate(g, choose_representatives(g, origin=g.design_enodes(design)), stimuli)
+waves = simulate(g, choose_representatives(g, seed_from_design(g, design)), stimuli)
 stats = graph_activity(waves)
 
 print("\nmeasured per-class activity:")

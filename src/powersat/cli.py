@@ -14,6 +14,7 @@ import time
 
 from .egraph import EGraph, EGraphError
 from .equiv import EquivError, cosimulate
+# `_closure` and `simulate` go unused but stay bound: perfbench/spans.py wraps them.
 from .extract import (
     _closure,
     build_problem,
@@ -26,7 +27,6 @@ from .extract import (
 from .ir import NetlistError, parse_design, print_design
 from .power import AreaModel, PowerError, class_scores
 from .rewrite import apply_rules, rules_by_name
-# `simulate` is unused here but stays bound: perfbench/spans.py wraps it by name.
 from .simulate import (
     SimulationError,
     choose_representatives,
@@ -85,7 +85,12 @@ def run(args: argparse.Namespace) -> int:
         raw_cfg = fh.read()
     cfg = StimulusConfig.from_json(raw_cfg)
     overrides = json.loads(raw_cfg).get("area_model", {})
-    model = AreaModel({str(k): float(v) for k, v in overrides.items()})
+    if not isinstance(overrides, dict):
+        raise StimulusError("area_model must be an object")
+    try:
+        model = AreaModel({str(k): float(v) for k, v in overrides.items()})
+    except (TypeError, ValueError):
+        raise StimulusError(f"area_model values must be numbers, got {overrides}") from None
     rules = rules_by_name(disabled=args.disable_rule)
     t = lap("parse", t0)
 
@@ -97,8 +102,10 @@ def run(args: argparse.Namespace) -> int:
     stimuli = generate_stimuli(cfg, design)
     t = lap("stimuli", t)
 
+    # The design's own selection: where simulation starts, and the incumbent.
     # Each phase's products are dropped once the next phase has read them.
-    rep = choose_representatives(g, origin=g.design_enodes(design))
+    seed_choice = seed_from_design(g, design)
+    rep = choose_representatives(g, seed_choice)
     stats = graph_activity(class_waveforms(g, rep, stimuli))
     del rep, stimuli
     t = lap("simulate", t)
@@ -107,15 +114,12 @@ def run(args: argparse.Namespace) -> int:
     del stats
     t = lap("score", t)
 
-    seed_choice = seed_from_design(g, design)
     problem = build_problem(g, scores, incumbent=seed_choice)
+    del scores
     if args.dump_lp:
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(lp_text(problem))
-    baseline = selection_cost(problem, _closure(g, seed_choice, problem.roots))
-    # Extraction sets the memory peak on large graphs; freed, the scores
-    # make room for its tables.
-    del scores
+    baseline = selection_cost(problem, seed_choice)
     solution = solve(problem, time_budget=args.time_budget)
     t = lap("extract", t)
 

@@ -1,6 +1,5 @@
 """E-graph over netlist operators: union-find, hashconsing, and congruence rebuilding."""
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .ir import Design
@@ -62,14 +61,6 @@ class _EClass:
         self.parents: list[ENode | int] = []
 
 
-@dataclass
-class RootInfo:
-    """Output roots of the design the graph was seeded from."""
-
-    ports: list[str] = field(default_factory=list)
-    classes: list[int] = field(default_factory=list)
-
-
 class EGraph:
     """Equality classes of netlist expressions with congruence closure.
 
@@ -87,7 +78,8 @@ class EGraph:
         self._classes: dict[int, _EClass] = {}
         self._hashcons: dict[ENode, int] = {}
         self._worklist: list[int] = []
-        self.roots = RootInfo()
+        # Output classes of the design the graph was seeded from.
+        self.roots: list[int] = []
         # Bumped by any structural change; equal before/after means saturation.
         self.version = 0
         self._members = _SortedMembers(self._classes)
@@ -146,9 +138,8 @@ class EGraph:
     def add_expr(self, design: Design) -> list[int]:
         """Insert every node of a design; returns one root class per output."""
         classes = self.design_classes(design)
-        roots = [classes[idx] for _, idx in design.outputs]
-        self.roots = RootInfo([p for p, _ in design.outputs], roots)
-        return roots
+        self.roots = [classes[idx] for _, idx in design.outputs]
+        return self.roots
 
     def design_classes(self, design: Design) -> list[int]:
         """Canonical class of each design node (idempotent re-insertion)."""
@@ -305,7 +296,7 @@ class EGraph:
         return sum(len(c.nodes) for c in self._classes.values())
 
     def root_classes(self) -> list[int]:
-        return [self.find(c) for c in self.roots.classes]
+        return [self.find(c) for c in self.roots]
 
     def provenance(self, n: ENode) -> str:
         """Name of the rewrite that first introduced this node."""
@@ -475,28 +466,3 @@ def closes_cycle(comp: list[int], succ: dict[int, list[int]]) -> bool:
     """Whether a strongly connected component holds a cycle (or a self-loop)."""
     return len(comp) > 1 or comp[0] in succ[comp[0]]
 
-
-def origin_choice(g: EGraph, origin: dict[int, list[ENode]]) -> dict[int, ENode]:
-    """One seed-design member per design class, combinationally acyclic.
-
-    Each class takes its smallest member by node key. After rewriting, that
-    member can read its own class: `(or a a)` lands in the class of `a`.
-    Every class on such a cycle takes instead its member of lowest design
-    index; that member reads only classes of earlier design nodes, so the
-    replacements repeat until no cycle is left.
-    """
-    choice: dict[int, ENode] = {}
-    first: dict[int, ENode] = {}
-    for cid, nodes in origin.items():
-        root = g.find(cid)
-        if root not in choice:
-            choice[root] = min(nodes, key=node_key)
-            first[root] = nodes[0]
-    while True:
-        reads = combinational_edges(g, choice)
-        cyclic = [c for comp in strongly_connected(reads) if closes_cycle(comp, reads)
-                  for c in comp if choice[c] != first[c]]
-        if not cyclic:
-            return choice
-        for cid in cyclic:
-            choice[cid] = first[cid]

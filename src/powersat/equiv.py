@@ -25,7 +25,7 @@ from .rewrite import (
     Pattern,
     Rewrite,
     Subst,
-    _pattern_vars,
+    subpatterns,
 )
 from .simulate import _apply
 from .stimulus import Waveform, word_dtype
@@ -325,20 +325,17 @@ def _force(h, k: int, uf: _Widths) -> None:
         raise EGraphError("cannot force a product width")
 
 
+def rule_vars(rule: Rewrite) -> list[str]:
+    """Left-side variable names in first-visit pre-order; fuzz draws follow it."""
+    return list(dict.fromkeys(p.name for p in subpatterns(rule.lhs) if isinstance(p, PVar)))
+
+
 def rule_kind_vars(rule: Rewrite) -> dict[str, tuple[str, ...]]:
     """kind_var name -> admissible operator family, from the left side."""
     out: dict[str, tuple[str, ...]] = {}
-
-    def walk(pat):
-        if isinstance(pat, PRep):
-            walk(pat.child)
-        elif isinstance(pat, PNode):
-            if pat.kind_var is not None and pat.kind_var not in out:
-                out[pat.kind_var] = pat.kinds
-            for c in pat.children:
-                walk(c)
-
-    walk(rule.lhs)
+    for p in subpatterns(rule.lhs):
+        if isinstance(p, PNode) and p.kind_var is not None:
+            out.setdefault(p.kind_var, p.kinds)
     return out
 
 
@@ -346,11 +343,9 @@ def solve_rule_widths(rule: Rewrite, kinds: Subst, pick: Callable[[str], int]) -
     """Assign a width to every left-side variable; `pick` chooses free widths."""
     uf = _Widths()
     _walk_widths(rule.lhs, uf, kinds)
-    names: list[str] = []
-    _pattern_vars(rule.lhs, names)
     chosen: dict[str, int] = {}
     widths: dict[str, int] = {}
-    for name in names:
+    for name in rule_vars(rule):
         root = uf.find(name)
         if root not in chosen:
             chosen[root] = uf.forced.get(root, 0) or pick(root)
@@ -384,8 +379,7 @@ def _build_pattern(pat: Pattern, b: DesignBuilder, widths: dict[str, int],
 
 def rule_designs(rule: Rewrite, widths: dict[str, int], kinds: Subst) -> tuple[Design, Design]:
     """Both sides of a rule as designs over identical input ports."""
-    names: list[str] = []
-    _pattern_vars(rule.lhs, names)
+    names = rule_vars(rule)
     designs = []
     for tag, pat in (("lhs", rule.lhs), ("rhs", rule.rhs)):
         b = DesignBuilder(f"{rule.name.replace('-', '_')}_{tag}")

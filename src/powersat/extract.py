@@ -18,8 +18,8 @@ from .egraph import (
     EGraphError,
     ENode,
     closes_cycle,
+    combinational_edges,
     node_key,
-    origin_choice,
     strongly_connected,
 )
 from .ir import Design, DesignBuilder
@@ -29,7 +29,8 @@ from .ir import Design, DesignBuilder
 class SelectionProblem:
     g: EGraph
     roots: list[int]
-    candidates: dict[int, list[tuple[float, tuple, ENode]]]  # sorted (score, key, node)
+    # Canonical class -> {node: score}, ordered by score, then node key.
+    scores: dict[int, dict[ENode, float]]
     incumbent: dict[int, ENode] | None = None
 
 
@@ -60,21 +61,43 @@ def build_problem(
     roots: list[int] | None = None,
     incumbent: dict[int, ENode] | None = None,
 ) -> SelectionProblem:
-    """Package per-node scores into a selection problem over the graph."""
+    """Package per-node scores into a selection problem over the graph, each
+    class's nodes ranked by score, then node key: `nodes_of` lists them by
+    node key and the sort is stable."""
     roots = [g.find(c) for c in (roots if roots is not None else g.root_classes())]
-    candidates = {}
+    ranked = {}
     for cid in g.class_ids():
         per = scores[cid]
-        ranked = sorted(((per[n], node_key(n), n) for n in g.nodes_of(cid)))
-        if not ranked:
+        nodes = sorted(g.nodes_of(cid), key=per.__getitem__)
+        if not nodes:
             raise EGraphError(f"class {cid} has no candidate nodes")
-        candidates[cid] = ranked
-    return SelectionProblem(g, roots, candidates, incumbent)
+        ranked[cid] = {n: per[n] for n in nodes}
+    return SelectionProblem(g, roots, ranked, incumbent)
 
 
 def seed_from_design(g: EGraph, design: Design) -> dict[int, ENode]:
-    """The original design as a selection: each of its classes keeps its node."""
-    return origin_choice(g, g.design_enodes(design))
+    """The original design as a selection: one of its own members per design
+    class, combinationally acyclic.
+
+    Each class takes its smallest design member by node key. After
+    rewriting, that member can read its own class: `(or a a)` lands in the
+    class of `a`. Every class on such a cycle takes instead its member of
+    lowest design index; that member reads only classes of earlier design
+    nodes, so the replacements repeat until no cycle is left.
+    """
+    choice: dict[int, ENode] = {}
+    first: dict[int, ENode] = {}
+    for cid, nodes in g.design_enodes(design).items():
+        choice[cid] = min(nodes, key=node_key)
+        first[cid] = nodes[0]
+    while True:
+        reads = combinational_edges(g, choice)
+        cyclic = [c for comp in strongly_connected(reads) if closes_cycle(comp, reads)
+                  for c in comp if choice[c] != first[c]]
+        if not cyclic:
+            return choice
+        for cid in cyclic:
+            choice[cid] = first[cid]
 
 
 def _closure(g: EGraph, choice: dict[int, ENode], roots: list[int]) -> dict[int, ENode]:
@@ -94,13 +117,12 @@ def _closure(g: EGraph, choice: dict[int, ENode], roots: list[int]) -> dict[int,
 
 
 def selection_cost(problem: SelectionProblem, choice: dict[int, ENode]) -> float:
-    """The correctly rounded sum of the chosen nodes' scores, so it depends on
-    the selection only, not on the order of `choice`."""
-    picked = []
-    for cid, n in choice.items():
-        per = {key: s for s, key, _ in problem.candidates[problem.g.find(cid)]}
-        picked.append(per[node_key(n)])
-    return math.fsum(picked)
+    """The correctly rounded sum of the scores of the chosen nodes the roots
+    read, so it depends on the selection only, not on the order of `choice`
+    or on chosen classes no root needs. Raises EGraphError if the selection
+    misses a needed class."""
+    picked = _closure(problem.g, choice, problem.roots)
+    return math.fsum([problem.scores[cid][n] for cid, n in picked.items()])
 
 
 # A search row: (score, node, classes choosing the node makes needed that
@@ -130,11 +152,11 @@ def _search_rows(
     rows_of: dict[int, list[_Row]] = {}
     parent: dict[int, int] = {}  # class -> its parent class, while it has one
     shared = set(roots)  # classes that cannot be exclusive
-    for cid, ranked in problem.candidates.items():
+    for cid, ranked in problem.scores.items():
         if _late(deadline):
             return None
         out, seen = [], set()
-        for score, _key, n in ranked:
+        for n, score in ranked.items():
             children = tuple({find(c) for c in n.children})
             twin = (score, frozenset(children), n.kind == "reg")
             if twin in seen:
@@ -507,16 +529,15 @@ def lp_text(problem: SelectionProblem) -> str:
     external solver. x_<class>_<i> picks a node, y_<class> marks a class
     needed, integer levels linearize the combinational acyclicity."""
     g = problem.g
-    class_ids = sorted(problem.candidates)
+    class_ids = sorted(problem.scores)
     big_m = len(class_ids) + 1
     obj_terms = []
     rows = []
     binaries = []
     generals = []
     for cid in class_ids:
-        ranked = problem.candidates[cid]
         xs = []
-        for i, (score, _key, n) in enumerate(ranked):
+        for i, (n, score) in enumerate(problem.scores[cid].items()):
             x = f"x_{cid}_{i}"
             xs.append(x)
             binaries.append(x)

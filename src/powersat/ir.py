@@ -57,16 +57,6 @@ class BitVec:
         if not 0 <= self.value < (1 << self.width):
             raise WidthError(f"value {self.value} does not fit in {self.width} bits")
 
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
-
-    def bit(self, i: int) -> int:
-        return (self.value >> i) & 1
-
-    def __str__(self) -> str:
-        return f"{self.width}'d{self.value}"
-
 
 def infer_width(kind: str, child_widths: tuple[int, ...], count: int = 0) -> int:
     """Output width of an operator applied to children of the given widths."""
@@ -125,12 +115,6 @@ class Design:
     inputs: list[tuple[str, int]] = field(default_factory=list)
     outputs: list[tuple[str, int]] = field(default_factory=list)
     nodes: list[Node] = field(default_factory=list)
-
-    def input_width(self, port: str) -> int:
-        for name, width in self.inputs:
-            if name == port:
-                return width
-        raise NetlistError(f"no input port named {port!r}")
 
     def output_widths(self) -> list[tuple[str, int]]:
         return [(name, self.nodes[idx].width) for name, idx in self.outputs]

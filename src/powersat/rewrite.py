@@ -6,7 +6,7 @@ And(x, Rep(w, s)) where s is a single select bit replicated to x's width.
 
 import functools
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -77,7 +77,6 @@ class Rewrite:
     group: str
     lhs: Pattern
     rhs: Pattern
-    cond: Callable[[EGraph, Subst], bool] | None = None
 
     def __post_init__(self):
         _validate_rule(self)
@@ -374,37 +373,28 @@ def rules_by_name(names=None, disabled=()) -> list[Rewrite]:
     return [r for r in lib if r.name not in set(disabled)]
 
 
-def _pattern_vars(pat: Pattern, out: list[str]) -> None:
-    if isinstance(pat, PVar):
-        if pat.name not in out:
-            out.append(pat.name)
-    elif isinstance(pat, PRep):
-        _pattern_vars(pat.child, out)
-    elif isinstance(pat, PNode):
-        for c in pat.children:
-            _pattern_vars(c, out)
+def subpatterns(pat: Pattern) -> Iterator[Pattern]:
+    """The pattern and every pattern inside it, in pre-order: a node before
+    its children, children left to right."""
+    stack = [pat]
+    while stack:
+        p = stack.pop()
+        yield p
+        if isinstance(p, PRep):
+            stack.append(p.child)
+        elif isinstance(p, PNode):
+            stack.extend(reversed(p.children))
 
 
-def _pattern_binds(pat: Pattern, out: set[str]) -> None:
-    if isinstance(pat, PRep):
-        _pattern_binds(pat.child, out)
-    elif isinstance(pat, PNode):
-        if pat.bind:
-            out.add(pat.bind)
-        if pat.kind_var:
-            out.add(pat.kind_var)
-        for c in pat.children:
-            _pattern_binds(c, out)
-
-
-def _width_refs(pat: Pattern, out: set[str]) -> None:
-    if isinstance(pat, (PRep, PConstOf)):
-        out.add(pat.width_of)
-    if isinstance(pat, PRep):
-        _width_refs(pat.child, out)
-    elif isinstance(pat, PNode):
-        for c in pat.children:
-            _width_refs(c, out)
+def _names(pat: Pattern) -> set[str]:
+    """Every name a pattern binds or reuses: variables, `bind` and `kind_var`."""
+    out = set()
+    for p in subpatterns(pat):
+        if isinstance(p, PVar):
+            out.add(p.name)
+        elif isinstance(p, PNode):
+            out.update(name for name in (p.bind, p.kind_var) if name)
+    return out
 
 
 def _validate_rule(r: Rewrite) -> None:
@@ -415,16 +405,8 @@ def _validate_rule(r: Rewrite) -> None:
         _matcher(r.lhs)
     except EGraphError as e:
         raise EGraphError(f"rule {r.name}: left side: {e}") from None
-    lhs_vars: list[str] = []
-    _pattern_vars(r.lhs, lhs_vars)
-    binds: set[str] = set(lhs_vars)
-    _pattern_binds(r.lhs, binds)
-    rhs_vars: list[str] = []
-    _pattern_vars(r.rhs, rhs_vars)
-    rhs_refs = set(rhs_vars)
-    _pattern_binds(r.rhs, rhs_refs)
-    _width_refs(r.rhs, rhs_refs)
-    loose = rhs_refs - binds
+    widths = {p.width_of for p in subpatterns(r.rhs) if isinstance(p, (PRep, PConstOf))}
+    loose = (_names(r.rhs) | widths) - _names(r.lhs)
     if loose:
         raise EGraphError(f"rule {r.name}: right side references unbound {sorted(loose)}")
 
@@ -470,8 +452,7 @@ def apply_rules(
     designs = 0
     for it in range(1, max_iters + 1):
         before = g.version
-        # Each rule with its match keys; rules sharing a left side share one
-        # list, and a condition filters against the frozen graph.
+        # Each rule with its match keys; rules sharing a left side share one list.
         found: dict[Pattern, list[tuple]] = {}
         batch: list[tuple[Rewrite, Callable[[tuple], Subst], list[tuple]]] = []
         for rule in rules:
@@ -479,8 +460,6 @@ def apply_rules(
             keys = found.get(rule.lhs)
             if keys is None:
                 keys = found[rule.lhs] = m.match(g)
-            if rule.cond is not None:
-                keys = [k for k in keys if rule.cond(g, m.subst(k))]
             batch.append((rule, m.subst, keys))
         for rule, subst, keys in batch:
             g.origin_tag = rule.name

@@ -26,7 +26,6 @@ from .egraph import (
     ENode,
     closes_cycle,
     combinational_edges,
-    origin_choice,
     strongly_connected,
 )
 from .stimulus import Waveform, word_dtype
@@ -37,17 +36,17 @@ class SimulationError(Exception):
 
 
 def choose_representatives(
-    g: EGraph, origin: dict[int, list[ENode]] | None = None
+    g: EGraph, seed_choice: dict[int, ENode] | None = None
 ) -> dict[int, ENode]:
     """Pick one member per class so the induced graph is combinationally acyclic.
 
-    Classes holding nodes of the seed design take those nodes first (the
-    statistics then favor the designer's structure; see `origin_choice`);
-    remaining classes are filled in rounds, each round admitting nodes whose
-    combinational children are already assigned. Reg nodes read state, so
-    they are always admissible.
+    Starts from `seed_choice`, an acyclic selection such as the design's own
+    (`extract.seed_from_design`), so the statistics favor the designer's
+    structure; remaining classes are filled in rounds, each round admitting
+    nodes whose combinational children are already assigned. Reg nodes read
+    state, so they are always admissible.
     """
-    rep: dict[int, ENode] = origin_choice(g, origin) if origin else {}
+    rep: dict[int, ENode] = dict(seed_choice or {})
 
     def ready(n: ENode) -> bool:
         if n.kind == "reg":

@@ -125,6 +125,18 @@ class PortSpec:
                 raise StimulusError("initial_static_probability outside [0, 1]")
 
 
+def _word(v) -> int:
+    return int(v, 0) if isinstance(v, str) else int(v)
+
+
+def _field(port: str, name: str, value, convert):
+    """`convert(value)`, or a StimulusError naming the port and the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise StimulusError(f"port {port!r}: bad {name} {value!r}") from None
+
+
 @dataclass
 class StimulusConfig:
     cycles: int
@@ -140,17 +152,24 @@ class StimulusConfig:
             raise StimulusError(f"bad stimuli config: {e}") from None
         if cycles < 1:
             raise StimulusError("cycles must be >= 1")
+        ports = raw.get("inputs", {})
+        if not isinstance(ports, dict):
+            raise StimulusError("bad stimuli config: inputs must be an object")
         inputs = {}
-        for port, spec in raw.get("inputs", {}).items():
+        for port, spec in ports.items():
             if not isinstance(spec, dict):
                 raise StimulusError(f"port {port!r}: spec must be an object")
             if "vectors" in spec:
-                vectors = [int(v, 0) if isinstance(v, str) else int(v) for v in spec["vectors"]]
+                if not isinstance(spec["vectors"], list):
+                    raise StimulusError(f"port {port!r}: vectors must be a list")
+                vectors = [_field(port, "vector", v, _word) for v in spec["vectors"]]
                 inputs[port] = PortSpec(vectors=vectors)
             else:
                 inputs[port] = PortSpec(
-                    toggle_rate=float(spec.get("toggle_rate", 0.5)),
-                    initial_static_probability=float(spec.get("initial_static_probability", 0.5)),
+                    toggle_rate=_field(port, "toggle_rate", spec.get("toggle_rate", 0.5), float),
+                    initial_static_probability=_field(
+                        port, "initial_static_probability",
+                        spec.get("initial_static_probability", 0.5), float),
                 )
         return cls(cycles, seed, inputs)
 

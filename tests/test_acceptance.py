@@ -18,7 +18,6 @@ from powersat.equiv import (
     simulate_design,
 )
 from powersat.extract import (
-    _closure,
     build_problem,
     reconstruct,
     seed_from_design,
@@ -69,11 +68,11 @@ def run_pipeline(name, cfgname):
     g.add_expr(design)
     apply_rules(g, rules_by_name(None), max_iters=PIPELINE_ITERS.get(name, 8))
     stimuli = generate_stimuli(cfg, design)
-    rep = choose_representatives(g, origin=g.design_enodes(design))
-    scores = class_scores(g, graph_activity(simulate(g, rep, stimuli)))
     seed = seed_from_design(g, design)
+    rep = choose_representatives(g, seed)
+    scores = class_scores(g, graph_activity(simulate(g, rep, stimuli)))
     problem = build_problem(g, scores, incumbent=seed)
-    baseline = selection_cost(problem, _closure(g, seed, problem.roots))
+    baseline = selection_cost(problem, seed)
     solution = solve(problem)
     optimized = reconstruct(g, solution, design)
     return design, cfg, baseline, solution, optimized
@@ -155,7 +154,7 @@ def test_criterion_05_class_consistency():
         stimuli = generate_stimuli(
             StimulusConfig(1000, cfg.seed, cfg.inputs), design
         )
-        rep = choose_representatives(g, origin=g.design_enodes(design))
+        rep = choose_representatives(g, seed_from_design(g, design))
         waves = simulate(g, rep, stimuli)
         assert class_consistency_mismatches(g, rep, waves, stimuli) == []
     assert time.perf_counter() - t0 < 30.0

@@ -1,5 +1,6 @@
 import json
 import random
+import runpy
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from powersat import cli
 from powersat.equiv import Mismatch, cosimulate
 from powersat.ir import parse_design, print_design
 
-from _util import chain, flat_adders, random_stimuli, src_env
+from _util import SRC, chain, flat_adders, random_stimuli, src_env
 
 FIG1 = """
 (module fig1
@@ -199,6 +200,25 @@ def test_malformed_stimuli_json_exits_1(fig1, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"inputs": []}, "inputs must be an object"),
+    ({"inputs": {**CFG["inputs"], "s": {"vectors": 5}}}, "port 's': vectors must be a list"),
+    ({"inputs": {**CFG["inputs"], "s": {"vectors": [None]}}}, "port 's': bad vector None"),
+    ({"inputs": {**CFG["inputs"], "s": {"toggle_rate": None}}}, "port 's': bad toggle_rate None"),
+    ({"area_model": []}, "area_model must be an object"),
+    ({"area_model": {"mul": None}}, "area_model values must be numbers"),
+], ids=["inputs-list", "vectors-int", "vectors-null", "toggle-rate-null", "area-model-list",
+        "area-model-null"])
+def test_malformed_config_shape_exits_1(fig1, tmp_path, capsys, change, message):
+    dsl, _ = fig1
+    cfg = tmp_path / "shape.json"
+    cfg.write_text(json.dumps({**CFG, **change}))
+    assert invoke("--input", dsl, "--stimuli", cfg) == 1
+    err = capsys.readouterr().err
+    assert "powersat: error: " in err and message in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--input", "only.dsl"])
@@ -287,3 +307,15 @@ def test_chain_deeper_than_the_recursion_limit_exits_0(tmp_path, capsys):
     rc = invoke("--input", dsl, "--stimuli", cfg, "--max-iters", 1, "--output", out)
     assert rc == 0, capsys.readouterr().err
     assert parse_design(out.read_text()).signature() == d.signature()
+
+
+def test_names_the_benchmark_tracer_patches_are_bound():
+    # perfbench/spans.py swaps these names in the CLI's namespace and these
+    # methods on their classes; a binding dropped from the CLI would otherwise
+    # surface only in the benchmark's own self-test
+    spans = runpy.run_path(str(SRC.parent / "perfbench" / "spans.py"))
+    for layer, names in spans["CLI_CALLS"].items():
+        for name in names:
+            assert name in cli.__dict__, f"{layer}.{name}"
+    for _layer, cls_name, meth in spans["METHODS"]:
+        assert meth in cli.__dict__[cls_name].__dict__, f"{cls_name}.{meth}"

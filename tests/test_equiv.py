@@ -11,6 +11,7 @@ from powersat.equiv import (
     exhaustive_check,
     exhaustive_rule_check,
     fuzz_rule,
+    rule_vars,
     simulate_design,
 )
 from powersat.ir import parse_design, print_design
@@ -213,6 +214,52 @@ def test_exhaustive_width_limit():
     d = parse_design("(module m (input a 8) (output y (not a)))")
     with pytest.raises(EquivError, match="wider"):
         exhaustive_check(d, d, 2, max_width=1)
+
+
+# Each library rule's left-side variables in first-visit pre-order. Fuzz
+# trials draw one width per variable in this order, so a walker that visits
+# them differently changes every fuzz draw.
+LHS_VARS = {
+    "gate-left": ["s", "b", "c"],
+    "gate-right": ["s", "b", "c"],
+    "propagate-mask": ["a", "b", "s"],
+    "propagate-mask-left": ["a", "b", "s"],
+    "propagate-mux-mask": ["s1", "a", "b", "s2"],
+    "propagate-mux-mask-right": ["s1", "a", "b", "s2"],
+    "propagate-mux-mask-left": ["s1", "a", "b", "s2"],
+    "combine-masks": ["a", "s1", "s2"],
+    "transp-reg-left": ["s", "b", "c"],
+    "transp-reg-right": ["s", "b", "c"],
+    "transp-reg-mask": ["a", "s"],
+    "transp-reg-saturate": ["a", "s"],
+    "transp-reg-reg": ["a", "en"],
+    "propagate": ["a", "b", "s"],
+    "propagate-mux": ["s1", "a", "b", "s2"],
+    "combine-transp-reg": ["a", "s"],
+    "retime-boolean": ["a", "en", "b"],
+    "clock-gate-reg": ["a", "en", "b"],
+    "and-mask-identity": ["a"],
+    "and-mask-annihilate": ["a"],
+    "or-mask-identity": ["a"],
+    "or-mask-saturate": ["a"],
+    "and-idempotent": ["a"],
+    "or-idempotent": ["a"],
+    "double-negation": ["a"],
+    "de-morgan-and": ["a", "b"],
+    "de-morgan-or": ["a", "b"],
+    "and-commute": ["a", "b"],
+    "and-associate": ["a", "b", "c"],
+    "add-commute": ["a", "b"],
+    "add-associate": ["a", "b", "c"],
+    "add-cluster": ["a", "b", "c"],
+    "add-uncluster": ["a", "b", "c"],
+    "mux-op-distribute": ["s", "a", "b", "c"],
+    "mux-op-factor": ["s", "a", "c", "b"],
+}
+
+
+def test_rule_variable_order_is_pinned():
+    assert {r.name: rule_vars(r) for r in rules_by_name(None)} == LHS_VARS
 
 
 def test_fuzz_passes_the_shipped_rules():

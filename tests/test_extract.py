@@ -112,9 +112,7 @@ def test_infeasible_problem_raises():
     problem = build_problem(g, zero_scores(g), roots=[g.find(b_cls)])
     # strip the escape hatch: leave only the mutually recursive members
     acls = g.find(v)
-    problem.candidates[acls] = [
-        c for c in problem.candidates[acls] if c[2].kind != "var"
-    ]
+    problem.scores[acls] = {n: s for n, s in problem.scores[acls].items() if n.kind != "var"}
     with pytest.raises(EGraphError, match="no feasible selection"):
         solve(problem)
 
@@ -313,7 +311,7 @@ def test_time_budget_falls_back_to_incumbent():
         "inputs": {p: {"toggle_rate": 0.5} for p, _ in d.inputs},
     })
     stim = generate_stimuli(cfg, d)
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     scores = class_scores(g, graph_activity(simulate(g, rep, stim)))
     incumbent = seed_from_design(g, d)
     problem = build_problem(g, scores, incumbent=incumbent)
@@ -336,7 +334,7 @@ def test_budget_spent_during_set_up_returns_the_seed_unproven():
     g.add_expr(d)
     apply_rules(g, rules_by_name(None), max_iters=8)
     cfg = StimulusConfig.from_json(benchmarks.stimuli_path("seq_reg", "cfg1").read_text())
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     scores = class_scores(g, graph_activity(simulate(g, rep, generate_stimuli(cfg, d))))
     problem = build_problem(g, scores, incumbent=seed_from_design(g, d))
     seeded = _closure(g, problem.incumbent, problem.roots)
@@ -417,7 +415,7 @@ def test_selection_deeper_than_the_recursion_limit():
         "inputs": {p: {"toggle_rate": 0.5} for p, _ in d.inputs},
     })
     stim = generate_stimuli(cfg, d)
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     scores = class_scores(g, graph_activity(simulate(g, rep, stim)))
     incumbent = seed_from_design(g, d)
     problem = build_problem(g, scores, incumbent=incumbent)
@@ -429,7 +427,7 @@ def test_selection_deeper_than_the_recursion_limit():
     assert sol.stats.explored > 2100
     assert _closure(g, sol.choice, problem.roots) == sol.choice
     assert sol.objective == pytest.approx(selection_cost(problem, sol.choice))
-    assert sol.objective <= selection_cost(problem, _closure(g, incumbent, problem.roots)) + 1e-9
+    assert sol.objective <= selection_cost(problem, incumbent) + 1e-9
     assert cosimulate(d, reconstruct(g, sol, d), stim) is None
 
 
@@ -477,7 +475,7 @@ def test_reconstruct_gated_multiplier():
         "inputs": {p: {"toggle_rate": 0.1 if p == "s" else 0.5} for p, _ in d.inputs},
     })
     stim = generate_stimuli(cfg, d)
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     scores = class_scores(g, graph_activity(simulate(g, rep, stim)))
     problem = build_problem(g, scores, incumbent=seed_from_design(g, d))
     sol = solve(problem)
@@ -502,6 +500,50 @@ def test_lp_text_shape():
     assert lp_text(build_problem(g, zero_scores(g))) == text
 
 
+def test_lp_text_is_pinned(tmp_path, capsys):
+    # sha256 of the LP dump for fig1 cfg1 at 8 iterations: guards the ranking
+    # of each class's nodes (score, then node key), which numbers the x_ columns
+    lp = tmp_path / "fig1.lp"
+    rc = cli.main(["--input", str(benchmarks.design_path("fig1_op_isolate")),
+                   "--stimuli", str(benchmarks.stimuli_path("fig1_op_isolate", "cfg1")),
+                   "--max-iters", "8", "--dump-lp", str(lp)])
+    assert rc == 0
+    capsys.readouterr()
+    assert hashlib.sha256(lp.read_bytes()).hexdigest() == (
+        "f26511245e043ac291e79702fc051ca55d4176c5911564b2494f31d4380adb77")
+
+
+def _or_of_c_with_a_stray_class():
+    """root = or(c, c) | add(not x, and x x), with every node at score 1.0
+    and var c at 7.5: a problem over the root and a selection choosing or."""
+    g = EGraph()
+    x = g.add(ENode("var", (), 4, "x"))
+    c = g.add(ENode("var", (), 4, "c"))
+    root = g.add(ENode("add", (g.add(ENode("not", (x,), 4)), g.add(ENode("and", (x, x), 4))), 4))
+    g.merge(root, g.add(ENode("or", (c, c), 4)))
+    g.rebuild()
+    root = g.find(root)
+    scores = {cid: {n: 1.0 for n in g.nodes_of(cid)} for cid in g.class_ids()}
+    scores[g.find(c)] = {n: 7.5 for n in g.nodes_of(c)}
+    choice = {root: next(n for n in g.nodes_of(root) if n.kind == "or"),
+              g.find(c): g.nodes_of(c)[0]}
+    return g, build_problem(g, scores, roots=[root]), choice, g.find(x)
+
+
+def test_selection_cost_ignores_classes_no_root_reads():
+    g, problem, choice, x = _or_of_c_with_a_stray_class()
+    assert selection_cost(problem, choice) == 8.5
+    stray = {**choice, x: g.nodes_of(x)[0]}
+    assert selection_cost(problem, stray) == 8.5
+
+
+def test_selection_cost_raises_on_a_missing_needed_class():
+    g, problem, choice, _ = _or_of_c_with_a_stray_class()
+    root = problem.roots[0]
+    with pytest.raises(EGraphError, match="misses needed class"):
+        selection_cost(problem, {root: choice[root]})
+
+
 @pytest.mark.parametrize("cfg", benchmarks.config_names())
 def test_objective_is_the_sum_of_its_own_selection(cfg):
     # Summed along the search path, or over the dict in insertion order, the
@@ -512,7 +554,7 @@ def test_objective_is_the_sum_of_its_own_selection(cfg):
     g.add_expr(d)
     apply_rules(g, rules_by_name(None), max_iters=2)
     stim = generate_stimuli(benchmarks.stimuli_config("pipe_mux_add_tree", cfg), d)
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     scores = class_scores(g, graph_activity(simulate(g, rep, stim)))
     problem = build_problem(g, scores, incumbent=seed_from_design(g, d))
     seed = _closure(g, problem.incumbent, problem.roots)

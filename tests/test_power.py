@@ -2,6 +2,7 @@ import pytest
 
 from powersat.egraph import EGraph, ENode
 from powersat.ir import parse_design
+from powersat.extract import seed_from_design
 from powersat.power import AreaModel, area, class_scores, design_power, node_power
 from powersat.rewrite import apply_rules, rules_by_name
 from powersat.simulate import ActivityStats, choose_representatives, graph_activity, simulate
@@ -184,7 +185,7 @@ def test_gated_multiplier_scores_lower_at_low_select_activity():
         "inputs": {p: {"toggle_rate": 0.1 if p == "s" else 0.5} for p, _ in d.inputs},
     })
     stim = generate_stimuli(cfg, d)
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     stats = graph_activity(simulate(g, rep, stim))
 
     gated_mul = None

@@ -44,14 +44,14 @@ def seeded(text):
 
 def run_design(text, **stim):
     g, d, roots = seeded(text)
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     waves = {p: Waveform(dict(d.inputs)[p], list(v)) for p, v in stim.items()}
     return simulate(g, rep, waves), g, roots
 
 
 def test_representatives_of_unrewritten_graph_are_the_design():
     g, d, _ = seeded(FIG1)
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     origin = g.design_enodes(d)
     assert set(rep) == set(g.class_ids())
     for cid, n in rep.items():
@@ -64,7 +64,7 @@ def test_design_member_preferred_over_equivalent():
     one = g.add(ENode("const", (), 4, value=1))
     g.merge(roots[0], g.add(ENode("shl", (xcls, one), 4)))
     g.rebuild()
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     assert rep[g.find(roots[0])].kind == "add"
 
 
@@ -120,14 +120,14 @@ def test_rep_tiles_the_operand():
 
 def test_simulation_needs_every_input():
     g, d, _ = seeded(FIG1)
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     with pytest.raises(SimulationError):
         simulate(g, rep, {"s": Waveform(1, [0, 1])})
 
 
 def test_simulation_rejects_ragged_cycle_counts():
     g, d, _ = seeded("(module m (input a 4) (input en 1) (output q (reg a en)))")
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     with pytest.raises(SimulationError):
         simulate(g, rep, {"a": Waveform(4, [0, 1]), "en": Waveform(1, [1])})
 
@@ -175,7 +175,7 @@ def test_width_safety_on_random_graphs():
         d = random_design(rng)
         g = EGraph()
         g.add_expr(d)
-        rep = choose_representatives(g, origin=g.design_enodes(d))
+        rep = choose_representatives(g, seed_from_design(g, d))
         waves = simulate(g, rep, random_stimuli(rng, d, 16))
         for cid, w in waves.items():
             assert all(0 <= v < (1 << w.width) for v in w.values)
@@ -185,7 +185,7 @@ def test_class_consistency_after_rewriting():
     g, d, _ = seeded(FIG1)
     apply_rules(g, rules_by_name(["gate-right", "propagate-mask", "combine-masks"]),
                 max_iters=3)
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     rng = random.Random(4)
     stim = random_stimuli(rng, d, 64)
     waves = simulate(g, rep, stim)
@@ -200,7 +200,7 @@ def test_graph_simulation_matches_the_scalar_oracle(seed, cycles):
     g = EGraph()
     g.add_expr(d)
     stim = random_stimuli(rng, d, cycles)
-    waves = simulate(g, choose_representatives(g, origin=g.design_enodes(d)), stim)
+    waves = simulate(g, choose_representatives(g, seed_from_design(g, d)), stim)
     _, values = simulate_design(d, stim)
     for idx, cid in enumerate(g.design_classes(d)):
         assert waves[g.find(cid)].values == values[idx], d.nodes[idx]
@@ -262,7 +262,7 @@ def test_design_choice_is_acyclic_after_rewriting(text):
     g, d, _ = seeded(text)
     apply_rules(g, rules_by_name(None), max_iters=1)
     origin = g.design_enodes(d)
-    rep = choose_representatives(g, origin=origin)
+    rep = choose_representatives(g, seed_from_design(g, d))
     seed = seed_from_design(g, d)
     assert {cid: rep[cid] for cid in seed} == seed
     assert all(n in origin[cid] for cid, n in seed.items())
@@ -301,7 +301,7 @@ def test_narrow_storage_matches_the_oracle_at_dtype_boundaries(width):
     g = EGraph()
     g.add_expr(d)
     stim = boundary_stimuli(width, ("a", "b", "c"))
-    waves = simulate(g, choose_representatives(g, origin=g.design_enodes(d)), stim)
+    waves = simulate(g, choose_representatives(g, seed_from_design(g, d)), stim)
     _, values = simulate_design(d, stim)
     for idx, cid in enumerate(g.design_classes(d)):
         assert waves[g.find(cid)].values == values[idx], d.nodes[idx]
@@ -367,7 +367,7 @@ def test_streamed_activity_on_every_corpus_cell(name, cfg):
     apply_rules(g, rules_by_name(None), max_iters=2 if "add_tree" in name else 8)
     stim = generate_stimuli(benchmarks.stimuli_config(name, cfg), d)
     assert_streamed_activity_is_whole_graph_activity(
-        g, choose_representatives(g, origin=g.design_enodes(d)), stim)
+        g, choose_representatives(g, seed_from_design(g, d)), stim)
 
 
 def looped(rng, d):
@@ -411,7 +411,7 @@ def test_streamed_activity_memory_is_bounded(grown_comb):
     # the 2,419 class waveforms take 4.8 MB; simulated whole and then
     # counted 256 a batch they peaked at 9.2 MB (tracemalloc)
     d, g, stim, _ = grown_comb
-    rep = choose_representatives(g, origin=g.design_enodes(d))
+    rep = choose_representatives(g, seed_from_design(g, d))
     stats, peak = traced_peak(lambda: graph_activity(class_waveforms(g, rep, stim)))
     assert len(stats) == 2419
     assert peak < 5 << 20
