@@ -9,6 +9,7 @@ fresh seed before anything is written. Exit codes: 0 success, 1 bad input,
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -24,7 +25,7 @@ from .extract import (
     selection_cost,
     solve,
 )
-from .ir import NetlistError, parse_design, print_design
+from .ir import ARITY, NetlistError, parse_design, print_design
 from .power import AreaModel, PowerError, class_scores
 from .rewrite import apply_rules, rules_by_name
 from .simulate import (
@@ -70,6 +71,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _area_model(overrides) -> AreaModel:
+    """The config's `area_model`: a finite multiplier >= 0 per operator name."""
+    if not isinstance(overrides, dict):
+        raise StimulusError("area_model must be an object")
+    for op, v in overrides.items():
+        if op not in ARITY:
+            raise StimulusError(f"area_model: unknown operator {op!r}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < math.inf:
+            raise StimulusError(f"area_model values must be numbers, finite and >= 0; "
+                                f"got {op!r}: {v!r}")
+    return AreaModel({op: float(v) for op, v in overrides.items()})
+
+
 def run(args: argparse.Namespace) -> int:
     clock: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -84,13 +98,10 @@ def run(args: argparse.Namespace) -> int:
     with open(args.stimuli, "r", encoding="utf-8") as fh:
         raw_cfg = fh.read()
     cfg = StimulusConfig.from_json(raw_cfg)
-    overrides = json.loads(raw_cfg).get("area_model", {})
-    if not isinstance(overrides, dict):
-        raise StimulusError("area_model must be an object")
-    try:
-        model = AreaModel({str(k): float(v) for k, v in overrides.items()})
-    except (TypeError, ValueError):
-        raise StimulusError(f"area_model values must be numbers, got {overrides}") from None
+    unknown = sorted(cfg.inputs.keys() - {port for port, _ in design.inputs})
+    if unknown:
+        raise StimulusError(f"stimuli for {', '.join(map(repr, unknown))}: no such input port")
+    model = _area_model(json.loads(raw_cfg).get("area_model", {}))
     rules = rules_by_name(disabled=args.disable_rule)
     t = lap("parse", t0)
 

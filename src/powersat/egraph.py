@@ -55,7 +55,8 @@ class _EClass:
     __slots__ = ("nodes", "parents")
 
     def __init__(self):
-        self.nodes: set[ENode] = set()
+        # Member -> (creation index, rule name or "design"): its provenance.
+        self.nodes: dict[ENode, tuple[int, str]] = {}
         # The nodes that read this class, each followed by its class id: a
         # flat list, not one (node, class) tuple an entry.
         self.parents: list[ENode | int] = []
@@ -68,7 +69,7 @@ class EGraph:
     rebuild() (deferred rebuilding, as in egg). Each class lists the
     (node, class) pairs that read it, so rebuild finds exactly the nodes a
     merge made stale. A rebuild hands out one object per re-canonicalized
-    form, shared by the member set, the hashcons and the parent lists.
+    form, shared by the member table, the hashcons and the parent lists.
     """
 
     def __init__(self):
@@ -84,11 +85,6 @@ class EGraph:
         self.version = 0
         self._members = _SortedMembers(self._classes)
         self._members_version = self.version
-        # (creation index, rule) of the rewrite that introduced each live
-        # node, "design" for seeded nodes. `rebuild` moves a re-canonicalized
-        # member's tag to its new form, and where forms meet the earliest
-        # tag wins, so tags never follow set order.
-        self.made_by: dict[ENode, tuple[int, str]] = {}
         self.origin_tag = "design"
 
     # -- union-find --------------------------------------------------------
@@ -127,8 +123,7 @@ class EGraph:
         if hit is not None:
             return self.find(hit)
         cid = self._fresh(n.width)
-        self._classes[cid].nodes.add(n)
-        self.made_by.setdefault(n, (self.version, self.origin_tag))
+        self._classes[cid].nodes[n] = (self.version, self.origin_tag)
         for c in set(n.children):
             self._classes[c].parents += (n, cid)
         self._hashcons[n] = cid
@@ -223,7 +218,8 @@ class EGraph:
         A queued class re-canonicalizes its parents, merging those the
         hashcons shows congruent, which queues more classes; then the parent
         classes touched re-canonicalize their members, each stale member's
-        tag moving to its new form. Every form made on the way is one
+        tag moving to its new form; where forms meet, the earlier tag wins,
+        so tags never follow set order. Every form made on the way is one
         object. Hashcons keys with stale children remain until
         `compact_hashcons` but cannot be hit: a lookup's key has only root
         children, and a merged-away id never becomes a root again.
@@ -235,18 +231,15 @@ class EGraph:
             self._worklist.clear()
             for cid in sorted(todo):
                 self._repair(cid, touched, interned)
-        made_by = self.made_by
         for cid in {self.find(c) for c in touched}:
             cls = self._classes[cid]
-            members = set()
-            for n in cls.nodes:
+            members: dict[ENode, tuple[int, str]] = {}
+            for n, tag in cls.nodes.items():
                 m = self.canonicalize(n)
                 if m is not n:
                     m = self._intern(m, interned)
-                    tag, prev = made_by.pop(n), made_by.get(m)
-                    if prev is None or tag < prev:
-                        made_by[m] = tag
-                members.add(m)
+                if members.setdefault(m, tag) > tag:  # the earlier tag wins
+                    members[m] = tag
             cls.nodes = members
 
     def _intern(self, n: ENode, interned: dict[ENode, ENode]) -> ENode:
@@ -300,7 +293,8 @@ class EGraph:
 
     def provenance(self, n: ENode) -> str:
         """Name of the rewrite that first introduced this node."""
-        tag = self.made_by.get(n)
+        hit = self._hashcons.get(n)
+        tag = None if hit is None else self._classes[self.find(hit)].nodes.get(n)
         return "design" if tag is None else tag[1]
 
     def check_invariants(self) -> None:

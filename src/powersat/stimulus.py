@@ -125,16 +125,36 @@ class PortSpec:
                 raise StimulusError("initial_static_probability outside [0, 1]")
 
 
+# The keys a config may hold; the CLI reads `area_model`.
+_CONFIG_KEYS = {"cycles", "seed", "inputs", "area_model"}
+_PORT_KEYS = {"toggle_rate", "initial_static_probability", "vectors"}
+
+
 def _word(v) -> int:
-    return int(v, 0) if isinstance(v, str) else int(v)
+    """A whole number: an integer string such as "0x1f", or a number without
+    a fraction (2.9 is an error, not 2)."""
+    if isinstance(v, str):
+        return int(v, 0)
+    if int(v) != v:
+        raise ValueError
+    return int(v)
 
 
-def _field(port: str, name: str, value, convert):
-    """`convert(value)`, or a StimulusError naming the port and the field."""
+def _field(where: str, name: str, value, convert):
+    """`convert(value)`, or a StimulusError naming where the field sits. No
+    field takes a boolean, which Python would read as 0 or 1."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return convert(value)
-    except (TypeError, ValueError):
-        raise StimulusError(f"port {port!r}: bad {name} {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise StimulusError(f"{where}: bad {name} {value!r}") from None
+
+
+def _known_keys(where: str, raw: dict, known: set[str]) -> None:
+    unknown = sorted(raw.keys() - known)
+    if unknown:
+        raise StimulusError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
 
 
 @dataclass
@@ -145,30 +165,36 @@ class StimulusConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StimulusConfig":
-        try:
-            cycles = int(raw["cycles"])
-            seed = int(raw["seed"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise StimulusError(f"bad stimuli config: {e}") from None
+        where = "bad stimuli config"
+        if not isinstance(raw, dict):
+            raise StimulusError(f"{where}: expected an object")
+        _known_keys(where, raw, _CONFIG_KEYS)
+        missing = sorted({"cycles", "seed"} - raw.keys())
+        if missing:
+            raise StimulusError(f"{where}: missing {', '.join(map(repr, missing))}")
+        cycles = _field(where, "cycles", raw["cycles"], _word)
+        seed = _field(where, "seed", raw["seed"], _word)
         if cycles < 1:
             raise StimulusError("cycles must be >= 1")
         ports = raw.get("inputs", {})
         if not isinstance(ports, dict):
-            raise StimulusError("bad stimuli config: inputs must be an object")
+            raise StimulusError(f"{where}: inputs must be an object")
         inputs = {}
         for port, spec in ports.items():
+            where = f"port {port!r}"
             if not isinstance(spec, dict):
-                raise StimulusError(f"port {port!r}: spec must be an object")
+                raise StimulusError(f"{where}: spec must be an object")
+            _known_keys(where, spec, _PORT_KEYS)
             if "vectors" in spec:
                 if not isinstance(spec["vectors"], list):
-                    raise StimulusError(f"port {port!r}: vectors must be a list")
-                vectors = [_field(port, "vector", v, _word) for v in spec["vectors"]]
+                    raise StimulusError(f"{where}: vectors must be a list")
+                vectors = [_field(where, "vector", v, _word) for v in spec["vectors"]]
                 inputs[port] = PortSpec(vectors=vectors)
             else:
                 inputs[port] = PortSpec(
-                    toggle_rate=_field(port, "toggle_rate", spec.get("toggle_rate", 0.5), float),
+                    toggle_rate=_field(where, "toggle_rate", spec.get("toggle_rate", 0.5), float),
                     initial_static_probability=_field(
-                        port, "initial_static_probability",
+                        where, "initial_static_probability",
                         spec.get("initial_static_probability", 0.5), float),
                 )
         return cls(cycles, seed, inputs)

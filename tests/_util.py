@@ -101,6 +101,16 @@ def traced_peak(fn):
     return result, peak
 
 
+def provenance_tags(g: EGraph) -> dict[ENode, tuple[int, str]]:
+    """Every member of the graph with its (creation index, rule) tag, checking
+    that no two members share a creation index: tags of forms that met in a
+    rebuild collapse to one, and nothing else keeps a tag."""
+    tags = {n: tag for cls in g._classes.values() for n, tag in cls.nodes.items()}
+    assert len({index for index, _ in tags.values()}) == len(tags)
+    assert all(g.provenance(n) == rule for n, (_, rule) in tags.items())
+    return tags
+
+
 def chain(depth: int) -> Design:
     """A `depth`-deep alternating add/xor chain over two inputs."""
     b = DesignBuilder("chain")

@@ -207,8 +207,24 @@ def test_malformed_stimuli_json_exits_1(fig1, tmp_path, capsys):
     ({"inputs": {**CFG["inputs"], "s": {"toggle_rate": None}}}, "port 's': bad toggle_rate None"),
     ({"area_model": []}, "area_model must be an object"),
     ({"area_model": {"mul": None}}, "area_model values must be numbers"),
+    ({"cycles": 2.9}, "bad stimuli config: bad cycles 2.9"),
+    ({"seed": 1.5}, "bad stimuli config: bad seed 1.5"),
+    ({"cycles": True}, "bad stimuli config: bad cycles True"),
+    ({"inputs": {**CFG["inputs"], "s": {"vectors": [1.7]}}}, "port 's': bad vector 1.7"),
+    ({"inputs": {**CFG["inputs"], "s": {"vectors": [True]}}}, "port 's': bad vector True"),
+    ({"inputs": {**CFG["inputs"], "s": {"toggle_rate": True}}}, "port 's': bad toggle_rate True"),
+    ({"area_model": {"mul": float("nan")}}, "area_model values must be numbers, finite and >= 0"),
+    ({"area_model": {"mul": float("inf")}}, "area_model values must be numbers, finite and >= 0"),
+    ({"area_model": {"mul": -1e9}}, "area_model values must be numbers, finite and >= 0"),
+    ({"area_model": {"mull": 2}}, "area_model: unknown operator 'mull'"),
+    ({"cylces": 10}, "bad stimuli config: unknown key 'cylces'"),
+    ({"inputs": {**CFG["inputs"], "s": {"toggle_rte": 0.1}}}, "port 's': unknown key 'toggle_rte'"),
+    ({"inputs": {**CFG["inputs"], "zz": {"toggle_rate": 0.5}}}, "stimuli for 'zz': no such input port"),
 ], ids=["inputs-list", "vectors-int", "vectors-null", "toggle-rate-null", "area-model-list",
-        "area-model-null"])
+        "area-model-null", "cycles-fraction", "seed-fraction", "cycles-bool", "vector-fraction",
+        "vector-bool", "toggle-rate-bool", "area-model-nan", "area-model-inf",
+        "area-model-negative", "area-model-unknown-op", "unknown-key", "unknown-port-key",
+        "unknown-port"])
 def test_malformed_config_shape_exits_1(fig1, tmp_path, capsys, change, message):
     dsl, _ = fig1
     cfg = tmp_path / "shape.json"

@@ -8,7 +8,7 @@ from powersat.egraph import COUNT_CAP, EGraph, EGraphError, ENode
 from powersat.ir import parse_design
 from powersat.rewrite import apply_rules, rule_library
 
-from _util import EVERY_KIND, random_design
+from _util import EVERY_KIND, provenance_tags, random_design
 
 FIG1 = """
 (module fig1
@@ -232,4 +232,24 @@ def test_rewriting_keeps_provenance_of_live_nodes_only():
     g = EGraph()
     g.add_expr(random_design(random.Random("mixed/113"), max_nodes=24, kinds=EVERY_KIND))
     apply_rules(g, rule_library(), max_iters=1)
-    assert set(g.made_by) == {n for cid in g.class_ids() for n in g.nodes_of(cid)}
+    assert set(provenance_tags(g)) == {n for cid in g.class_ids() for n in g.nodes_of(cid)}
+
+
+@pytest.mark.parametrize("survivor", ["design", "later"])
+def test_forms_meeting_in_a_rebuild_keep_the_earlier_tag(survivor):
+    # add(a, b) comes from the design and add(a, c) from a later rule; merging
+    # b and c makes them one form, which keeps the design's tag whichever of
+    # the two forms survives the rebuild
+    g = EGraph()
+    a, b, c = (g.add(ENode("var", (), 8, port=p)) for p in "abc")
+    g.add(ENode("add", (a, b), 8))
+    g.origin_tag = "later"
+    g.add(ENode("add", (a, c), 8))
+    g.origin_tag = "design"
+    assert g.provenance(ENode("add", (a, c), 8)) == "later"
+    g.merge(*((b, c) if survivor == "design" else (c, b)))
+    g.rebuild()
+    g.check_invariants()
+    (n,) = [n for n in provenance_tags(g) if n.kind == "add"]
+    assert n == ENode("add", (a, b if survivor == "design" else c), 8)
+    assert g.provenance(n) == "design"

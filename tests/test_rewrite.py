@@ -24,7 +24,7 @@ from powersat.rewrite import (
     _n,
 )
 
-from _util import EVERY_KIND, random_design, src_env, traced_peak
+from _util import EVERY_KIND, provenance_tags, random_design, src_env, traced_peak
 
 FIG1 = """
 (module fig1
@@ -453,7 +453,7 @@ def one_object_per_form(g):
     for cls in g._classes.values():
         for p in cls.parents[::2]:
             assert live.get(p, p) is p
-    assert set(g.made_by) == set(live)
+    assert set(provenance_tags(g)) == set(live)
 
 
 def checked_after_every_rebuild(g):

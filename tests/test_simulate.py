@@ -26,7 +26,7 @@ from powersat.simulate import (
 )
 from powersat.stimulus import Waveform, generate_stimuli, word_dtype
 
-from _util import EVERY_KIND, random_design, random_stimuli, traced_peak
+from _util import EVERY_KIND, provenance_tags, random_design, random_stimuli, traced_peak
 
 FIG1 = """
 (module fig1
@@ -333,7 +333,7 @@ def test_class_waveforms_take_one_byte_a_cycle_on_the_grown_add_tree(grown_comb)
     assert len(waves) == g.class_count() == 2419
     assert sum(w.array.nbytes for w in waves.values()) == 2000 * 2419 == 4_838_000
     # provenance is kept for the live nodes only (18,193 keys before)
-    assert len(g.made_by) == g.enode_count() == 8244
+    assert len(provenance_tags(g)) == g.enode_count() == 8244
 
 
 @pytest.mark.parametrize("cycles", [0, 1, 2, 7])

@@ -141,6 +141,17 @@ def test_bad_rates_rejected():
         StimulusConfig.from_dict({"cycles": 0, "seed": 1, "inputs": {}})
 
 
+def test_whole_numbers_may_be_integral_floats_or_integer_strings():
+    # fractions and booleans are rejected (test_cli's malformed configs)
+    c = StimulusConfig.from_dict({"cycles": 3.0, "seed": "0x10",
+                                  "inputs": {"a": {"vectors": [1.0, "0x2", 3]}}})
+    assert (c.cycles, c.seed, c.inputs["a"].vectors) == (3, 16, [1, 2, 3])
+    with pytest.raises(StimulusError, match="bad cycles inf"):
+        StimulusConfig.from_dict({"cycles": float("inf"), "seed": 1})
+    with pytest.raises(StimulusError, match="missing 'seed'"):
+        StimulusConfig.from_dict({"cycles": 3})
+
+
 def test_config_json_roundtrip():
     c = cfg(cycles=5, a={"toggle_rate": 0.25}, b={"vectors": [1, 0, 1, 1, 0]})
     again = StimulusConfig.from_json(c.to_json())
