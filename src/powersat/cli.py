@@ -47,6 +47,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _at_least_zero(kind):
+    """An argparse type: `kind` of the text, rejected unless >= 0, so NaN is
+    rejected too."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _ArgumentParser(
         prog="powersat",
@@ -55,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="design file (s-expression netlist)")
     p.add_argument("--stimuli", required=True, help="stimuli config JSON")
     p.add_argument("--mode", choices=("power", "area"), default="power")
-    p.add_argument("--max-iters", type=int, default=8, help="rewrite iteration limit")
-    p.add_argument("--max-nodes", type=int, default=50_000, help="e-graph node limit")
-    p.add_argument("--time-budget", type=float, default=None,
+    p.add_argument("--max-iters", type=_at_least_zero(int), default=8, help="rewrite iteration limit")
+    p.add_argument("--max-nodes", type=_at_least_zero(int), default=50_000, help="e-graph node limit")
+    p.add_argument("--time-budget", type=_at_least_zero(float), default=None,
                    help="extraction budget in seconds (default: run to optimality)")
     p.add_argument("--output", default=None, help="write the optimized design here")
     p.add_argument("--report", default=None, help="write a JSON run report here")

@@ -1,5 +1,6 @@
 """E-graph over netlist operators: union-find, hashconsing, and congruence rebuilding."""
 
+import math
 from typing import NamedTuple
 
 from .ir import Design
@@ -85,6 +86,8 @@ class EGraph:
         self.version = 0
         self._members = _SortedMembers(self._classes)
         self._members_version = self.version
+        self._order: list[tuple[list[int], bool]] = []
+        self._order_version = -1
         self.origin_tag = "design"
 
     # -- union-find --------------------------------------------------------
@@ -279,6 +282,17 @@ class EGraph:
             self._members_version = self.version
         return self._members
 
+    def class_order(self) -> list[tuple[list[int], bool]]:
+        """The strongly connected components of the class graph, children
+        first, each with whether it closes a cycle; a class reads the child
+        classes of all its members. Valid until the graph next changes."""
+        if self._order_version != self.version:
+            succ = {cid: list(dict.fromkeys([self.find(c) for n in cls.nodes for c in n.children]))
+                    for cid, cls in self._classes.items()}
+            self._order = [(comp, closes_cycle(comp, succ)) for comp in strongly_connected(succ)]
+            self._order_version = self.version
+        return self._order
+
     def class_width(self, cid: int) -> int:
         return self._width[cid]
 
@@ -323,64 +337,28 @@ class EGraph:
 
     # -- summaries -----------------------------------------------------------
 
-    @staticmethod
-    def _count_pass(reads: list[tuple[int, list[tuple[int, ...]]]],
-                    counts: dict[int, int]) -> list[int]:
-        changed = []
-        for cid, members in reads:
-            total = 0
-            for children in members:
-                prod = 1
-                for c in children:
-                    prod *= counts[c]
-                    if prod == 0 or prod >= COUNT_CAP:
-                        break
-                total += min(prod, COUNT_CAP)
-                if total >= COUNT_CAP:
-                    total = COUNT_CAP
-                    break
-            if total > counts[cid]:
-                counts[cid] = total
-                changed.append(cid)
-        return changed
-
     def count_designs(self, roots: list[int] | None = None) -> int:
-        """Number of distinct expression trees reachable for the root classes.
+        """Number of distinct expression trees reachable for the root classes,
+        saturating at COUNT_CAP.
 
-        Monotone fixpoint from zero: a node contributes the product of its
-        child class counts, a class sums its nodes, everything saturates at
-        COUNT_CAP. Classes only reachable through themselves stay at zero.
-        A class still growing once every acyclic dependency chain has had
-        time to settle is fed by a productive cycle, so its limit is the cap.
-        Counts only grow, so the fixpoint stops once the roots reach the cap.
+        Every class holds at least one tree: the node that created it reads
+        only older classes, and merges keep it. So a class on a cycle of the
+        class graph holds unboundedly many, and every class of a cyclic
+        component of `class_order` counts COUNT_CAP. Any other class, taken
+        children first, counts the sum over its members of the product of
+        their child class counts.
         """
         if roots is None:
             roots = self.root_classes()
-        roots = {self.find(c) for c in roots}
-        counts = {cid: 0 for cid in self._classes}
-        # Per class, in id order: each member's canonical child classes.
-        reads = [(cid, [tuple(map(self.find, n.children)) for n in self._classes[cid].nodes])
-                 for cid in sorted(self._classes)]
-
-        def product() -> int:
-            result = 1
-            for cid in roots:
-                result = min(result * counts[cid], COUNT_CAP)
-            return result
-
-        limit = len(self._classes) + 1
-        while True:
-            changed: list[int] = []
-            for _ in range(limit):
-                changed = self._count_pass(reads, counts)
-                if not changed:
-                    break
-                if product() == COUNT_CAP:
-                    return COUNT_CAP
-            if not changed:
-                return product()
-            for cid in changed:
-                counts[cid] = COUNT_CAP
+        counts: dict[int, int] = {}
+        for comp, cyclic in self.class_order():
+            if cyclic:
+                counts.update(dict.fromkeys(comp, COUNT_CAP))
+            else:
+                counts[comp[0]] = min(COUNT_CAP, sum(
+                    math.prod(counts[self.find(c)] for c in n.children)
+                    for n in self._classes[comp[0]].nodes))
+        return min(COUNT_CAP, math.prod(counts[c] for c in {self.find(r) for r in roots}))
 
     def render(self, n: ENode) -> str:
         """One e-node as text: `var:a`, `const:4'd3`, `rep8(c2)`, `add(c0,c1)`."""

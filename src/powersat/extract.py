@@ -139,10 +139,9 @@ def _search_rows(
     problem: SelectionProblem, roots: list[int], deadline: float | None
 ) -> tuple[dict[int, list[_Row]], list[tuple[list[int], bool]], dict[int, int], set[int]] | None:
     """Per class: search rows, made once per candidate with its canonical
-    child classes. Then the strongly connected components of the class
-    graph, children first, each with whether it holds a cycle; each class's
-    parent class while it has only one; and the classes that cannot be
-    exclusive (see `_bound_tables`). None once the deadline passes.
+    child classes. Then the graph's `class_order`; each class's parent class
+    while it has only one; and the classes that cannot be exclusive (see
+    `_bound_tables`). None once the deadline passes.
 
     A row with the score, child classes and register flag of an earlier row
     is its twin: its subtree is a copy whose leaves differ only in this
@@ -167,9 +166,7 @@ def _search_rows(
                 if parent.setdefault(d, cid) != cid or d == cid:
                     shared.add(d)
         rows_of[cid] = out
-    succ = {cid: [d for row in out for d in row[2]] for cid, out in rows_of.items()}
-    order = [(comp, closes_cycle(comp, succ)) for comp in strongly_connected(succ)]
-    return rows_of, order, parent, shared
+    return rows_of, problem.g.class_order(), parent, shared
 
 
 def _greedy(
@@ -258,8 +255,8 @@ def _bound_tables(
     exclusive descendants, and the undecided classes' h never count a
     class twice.
 
-    Both tables are computed children first over the strongly connected
-    components of the class graph, iterating only inside cyclic ones.
+    Both tables are computed children first over `EGraph.class_order`,
+    iterating only inside cyclic components.
     Forced sets grow from {c} to a fixpoint. h rises from the cheapest row
     for at most one round per member; every iterate is a valid bound, and
     only a cycle of exclusive classes, which never becomes needed, would

@@ -16,6 +16,7 @@ at a time and keeps each only until its last reader is simulated, so
 `graph_activity` can count a whole graph without holding every waveform.
 """
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -42,31 +43,48 @@ def choose_representatives(
 
     Starts from `seed_choice`, an acyclic selection such as the design's own
     (`extract.seed_from_design`), so the statistics favor the designer's
-    structure; remaining classes are filled in rounds, each round admitting
-    nodes whose combinational children are already assigned. Reg nodes read
-    state, so they are always admissible.
+    structure. The other classes are filled as if in rounds that visit them
+    by id, each taking its first member by node key whose combinational
+    children are filled. Seeds are round 0; a reg member, which reads state,
+    is due in round 1, any other in max(1, round(c) + (c >= cid) over its
+    child classes c). A class's round is its members' least due round, taken
+    children first over `EGraph.class_order`; a cyclic component is swept
+    once per class it fills, a round resting on classes of smaller
+    (round, id), and once more to confirm the picks.
     """
     rep: dict[int, ENode] = dict(seed_choice or {})
-
-    def ready(n: ENode) -> bool:
-        if n.kind == "reg":
-            return True
-        return all(g.find(c) in rep for c in n.children)
-
-    pending = [c for c in g.class_ids() if c not in rep]
-    while pending:
-        progressed = False
-        still = []
-        for cid in pending:
-            candidates = [n for n in g.nodes_of(cid) if ready(n)]
-            if candidates:
-                rep[cid] = candidates[0]  # nodes_of is sorted by node_key
-                progressed = True
-            else:
-                still.append(cid)
-        if not progressed:
-            raise SimulationError(f"no acyclic representative choice for classes {still}")
-        pending = still
+    members = g.sorted_members()
+    find = g.find
+    rnd: dict[int, float] = dict.fromkeys(rep, 0)
+    for comp, cyclic in g.class_order():
+        todo = [cid for cid in comp if cid not in rep]
+        rnd.update(dict.fromkeys(todo, math.inf))
+        for _ in range(len(todo) + 1 if cyclic else 1):
+            fell = False
+            for cid in todo:
+                least = math.inf
+                for n in members[cid]:
+                    due = 1
+                    if n.kind != "reg":
+                        for c in map(find, n.children):
+                            r = rnd[c] + (c >= cid)
+                            if r > due:
+                                due = r
+                                if due >= least:
+                                    break  # this member cannot be picked
+                    if due < least:
+                        least = due
+                        rep[cid] = n
+                        if due == 1:
+                            break
+                if least < rnd[cid]:
+                    rnd[cid] = least
+                    fell = True
+            if not fell:
+                break
+    stuck = sorted(cid for cid, r in rnd.items() if r == math.inf)
+    if stuck:
+        raise SimulationError(f"no acyclic representative choice for classes {stuck}")
     return rep
 
 
@@ -226,7 +244,12 @@ def class_waveforms(
         for c in set(r):
             readers[c] += 1
     waves: dict[int, np.ndarray] = {}
-    for group in strongly_connected(reads):
+    # A representative edge is a class-graph edge, so only a cyclic class
+    # component can hold a loop of representatives.
+    groups = (group for comp, cyclic in g.class_order()
+              for group in (strongly_connected({c: reads[c] for c in comp if c in rep})
+                            if cyclic else [[c] for c in comp if c in rep]))
+    for group in groups:
         if closes_cycle(group, reads):
             group = _step_loop(g, rep, group, waves, cycles)
         else:

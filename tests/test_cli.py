@@ -235,6 +235,20 @@ def test_malformed_config_shape_exits_1(fig1, tmp_path, capsys, change, message)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--time-budget", "nan"), ("--time-budget", "-1"), ("--max-iters", "-1"),
+    ("--max-nodes", "-1"),
+])
+def test_negative_or_nan_limit_exits_1(fig1, capsys, flag, value):
+    dsl, cfg = fig1
+    with pytest.raises(SystemExit) as exc:
+        invoke("--input", dsl, "--stimuli", cfg, flag, value)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"powersat: error: argument {flag}: must be >= 0, got '{value}'" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--input", "only.dsl"])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersat.egraph import COUNT_CAP, EGraph, EGraphError, ENode
+from powersat import benchmarks
+from powersat.egraph import COUNT_CAP, EGraph, EGraphError, ENode, closes_cycle
 from powersat.ir import parse_design
 from powersat.rewrite import apply_rules, rule_library
 
@@ -124,9 +125,9 @@ def test_count_designs_cycle_contributes_zero():
     loop = g.add(ENode("and", (a, a), 2))
     g.merge(a, loop)  # class now contains and(c,c) with c = the class itself
     g.rebuild()
-    # the var is still countable; the self-referential member adds designs
-    # through the var's count, never through pure cycles
-    assert g.count_designs([g.find(a)]) >= 1
+    # the self-referential member wraps any tree of the class in one more
+    # and: a, and(a,a), and(and(a,a),a), ... so the count saturates
+    assert g.count_designs([g.find(a)]) == COUNT_CAP
 
 
 def test_count_designs_unrollable_cycle_hits_cap():
@@ -138,6 +139,74 @@ def test_count_designs_unrollable_cycle_hits_cap():
     g.merge(a, g.add(ENode("not", (n1,), 2)))
     g.rebuild()
     assert g.count_designs([g.find(a)]) == COUNT_CAP
+
+
+def test_count_designs_two_class_cycle_hits_cap_beside_an_exact_sibling():
+    # a = {var a, not(b)}, b = {not(a)}: a cyclic component of two classes
+    g = EGraph()
+    a = g.add(ENode("var", (), 2, "a"))
+    b = g.add(ENode("not", (a,), 2))
+    g.merge(a, g.add(ENode("not", (b,), 2)))
+    g.rebuild()
+    a = g.find(a)
+    assert sorted(len(g.nodes_of(c)) for c in (a, b)) == [1, 2]
+    root = g.add(ENode("xor", (a, b), 2))
+    s = g.add(ENode("var", (), 2, "s"))
+    g.merge(s, g.add(ENode("var", (), 2, "t")))
+    g.rebuild()
+    sibling = g.add(ENode("xor", (g.find(s), g.add(ENode("var", (), 2, "u"))), 2))
+    assert g.count_designs([root]) == COUNT_CAP
+    assert g.count_designs([sibling]) == 2
+    assert g.count_designs([root, sibling]) == COUNT_CAP
+
+
+def class_graph(g):
+    return {cid: {g.find(c) for n in g.nodes_of(cid) for c in n.children}
+            for cid in g.class_ids()}
+
+
+GROWN = [(name, 8) for name in ("dual_op_alu", "fig1_op_isolate", "seq_reg")] + [
+    (f"mixed/{draw}", 2) for draw in range(5)]
+
+
+@pytest.mark.parametrize("name,iters", GROWN)
+def test_class_order_is_children_first(name, iters):
+    if name.startswith("mixed/"):
+        d = random_design(random.Random(name), max_nodes=24, kinds=EVERY_KIND)
+    else:
+        d = benchmarks.design(name)
+    g = EGraph()
+    g.add_expr(d)
+    apply_rules(g, rule_library(), max_iters=iters)
+    succ = class_graph(g)
+    order = g.class_order()
+    assert sorted(c for comp, _ in order for c in comp) == g.class_ids()
+    position = {c: i for i, (comp, _) in enumerate(order) for c in comp}
+    for i, (comp, cyclic) in enumerate(order):
+        assert all(position[d] <= i for c in comp for d in succ[c])
+        assert cyclic == closes_cycle(comp, succ)
+        # a component's classes reach one another
+        reach, stack = set(), [comp[0]]
+        while stack:
+            c = stack.pop()
+            if c not in reach:
+                reach.add(c)
+                stack.extend(d for d in succ[c] if position[d] == i)
+        assert reach == set(comp)
+    assert any(cyclic for _, cyclic in order)
+    assert g.class_order() is order  # built once per graph version
+
+
+def test_class_order_follows_a_merge_and_rebuild():
+    g, _, roots = seeded("(module m (input a 4) (output y (not a)))")
+    a = next(c for c in g.class_ids() if c != roots[0])
+    before = g.class_order()
+    assert before == [([a], False), ([roots[0]], False)]
+    g.merge(a, g.add(ENode("not", (roots[0],), 4)))
+    g.rebuild()
+    after = g.class_order()
+    assert after is not before
+    assert [(sorted(comp), cyclic) for comp, cyclic in after] == [(sorted([a, roots[0]]), True)]
 
 
 def test_count_designs_saturates():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -415,3 +416,44 @@ def test_streamed_activity_memory_is_bounded(grown_comb):
     stats, peak = traced_peak(lambda: graph_activity(class_waveforms(g, rep, stim)))
     assert len(stats) == 2419
     assert peak < 5 << 20
+
+
+# Representative pins: sha256 of the sorted (class, rendered representative)
+# pairs of `choose_representatives(g, seed_from_design(g, d))`, recorded from
+# a fill that ran its rounds one at a time. Scores cannot catch a changed
+# fill: every member of a class simulates to the class's waveform.
+CORPUS_REPRESENTATIVES = [
+    ("comb_mux_add_tree", 4, "7d96439ec5526c1e2122bfd7dbb74a6fe25ccf37b4e12e9c80cdc834a8225c8a"),
+    ("dual_op_alu", 8, "12f86c63022729eca6139136915b00ad9205c43b54c2cccd5e10fe312cfb491e"),
+    ("fig1_op_isolate", 8, "4a50f3a6d7b084231610b6dc95d203df6f38b437e412272df210dfff9656f31e"),
+    ("pipe_mux_add_tree", 4, "747095679d8bfb86b9110d1ce2ba0b87fa65a601fec76bfdc053a2b89a72b620"),
+    ("seq_reg", 8, "d5de696d41be390a8c22ca5c7a497ccb7c807f4247e113847cd5184ddfed4c62"),
+]
+# The draws of test_rewrite.MIXED_SATURATION, at 2 iterations.
+MIXED_REPRESENTATIVES = [
+    (0, "6b9a55e81eeb4d183d2ad33c8faec8350dbb769e2b1ce984cfebf9edfe8149df"),
+    (1, "032540388515c8ef050e5ac84dbe39d28b62539b4452ebeb3fa9738e0e20d7b7"),
+    (2, "5ee5ae6f565886434370267e6f26fe1eb7cedb22d202440607cc4508730e8d96"),
+    (3, "4663f0bffd34a6008e53c3f94662cebbf35d374d8f9a665c3df5518cf524ff3b"),
+    (4, "cf18d285fc3d2f62dece4e3cb658f1c61c4eb08469729ac352a623501f0eca4c"),
+]
+
+
+def representative_digest(d, iters):
+    g = EGraph()
+    g.add_expr(d)
+    apply_rules(g, rules_by_name(None), max_iters=iters)
+    rep = choose_representatives(g, seed_from_design(g, d))
+    return hashlib.sha256(repr(sorted((cid, g.render(n)) for cid, n in rep.items()))
+                          .encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,iters,digest", CORPUS_REPRESENTATIVES)
+def test_corpus_representatives_are_pinned(name, iters, digest):
+    assert representative_digest(benchmarks.design(name), iters) == digest
+
+
+@pytest.mark.parametrize("draw,digest", MIXED_REPRESENTATIVES)
+def test_mixed_representatives_are_pinned(draw, digest):
+    d = random_design(random.Random(f"mixed/{draw}"), max_nodes=24, kinds=EVERY_KIND)
+    assert representative_digest(d, 2) == digest
