@@ -110,6 +110,13 @@ def run(args: argparse.Namespace) -> int:
     with open(args.stimuli, "r", encoding="utf-8") as fh:
         raw_cfg = fh.read()
     cfg = StimulusConfig.from_json(raw_cfg)
+    # Activity is counted between cycles of input stimuli; checked here, not
+    # after the costly rewriting.
+    if not design.inputs:
+        raise NetlistError(f"design {design.name!r} has no input ports to drive with stimuli")
+    if cfg.cycles < 2:
+        raise StimulusError(f"bad stimuli config: cycles must be >= 2 to measure switching "
+                            f"activity, got {cfg.cycles}")
     unknown = sorted(cfg.inputs.keys() - {port for port, _ in design.inputs})
     if unknown:
         raise StimulusError(f"stimuli for {', '.join(map(repr, unknown))}: no such input port")

@@ -316,28 +316,30 @@ def _bound_tables(
 def solve(problem: SelectionProblem, time_budget: float | None = None) -> ExtractionSolution:
     """Exact branch and bound; returns the incumbent if the budget runs out.
 
-    Classes are decided in ascending-id order among those currently needed;
-    candidates are tried cheapest first. When a class becomes needed, its
-    whole forced set (the classes every selection containing it contains)
-    becomes needed with it. The bound adds, for each undecided needed class,
-    h: the cheapest cost of the class together with its exclusive
-    descendants, classes that only it can make needed (see
-    `_bound_tables`). Ties on the objective resolve to the selection that is
-    lexicographically smallest by (class id, node key). The search starts
-    from the problem's incumbent, or from egg's greedy selection (see
-    `_greedy`) if that is cheaper by more than the 1e-9 tie tolerance; a
-    better start only prunes more, since ties are still explored. The
-    budget covers the whole call, set-up included; if it is spent when
-    set-up ends, the start comes back unproven. Pruning compares costs
-    summed along the search path; the objective returned is
+    Among the classes currently needed, the most constrained is decided
+    first (Haralick and Elliott's fail-first order): a class with one
+    candidate row, which does not branch, then the highest bound h per
+    candidate row, then the lowest class id. Candidates are tried cheapest
+    first. When a class becomes needed, its whole forced set (the classes
+    every selection containing it contains) becomes needed with it. The
+    bound adds, for each undecided needed class, h: the cheapest cost of the
+    class together with its exclusive descendants, classes that only it can
+    make needed (see `_bound_tables`). Ties on the objective resolve to the
+    selection that is lexicographically smallest by (class id, node key).
+    The search starts from the problem's incumbent, or from egg's greedy
+    selection (see `_greedy`) if that is cheaper by more than the 1e-9 tie
+    tolerance; a better start only prunes more, since ties are still
+    explored. The budget covers the whole call, set-up included; if it is
+    spent when set-up ends, the start comes back unproven. Pruning compares
+    costs summed along the search path; the objective returned is
     `selection_cost` of the answer.
 
     The search runs on an explicit stack, so its depth is not limited by
     Python's recursion limit. One frame per decided class holds
     [class, candidate rows, next row, cost, bound of the other undecided
     classes, classes the current row made needed]; the undecided set, a
-    heap that yields its least class, and the selection are updated in
-    place and undone on backtrack.
+    heap that yields its least-ranked class, and the selection are updated
+    in place and undone on backtrack.
     """
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     roots = sorted(set(problem.roots))
@@ -395,11 +397,15 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
             stack.extend(edges.get(x, ()))
         return False
 
+    # Decision order, most constrained first; the heap holds ranks.
+    ranked = sorted(rows_of, key=lambda c: (len(rows_of[c]) > 1, -h[c] / len(rows_of[c]), c))
+    rank = {c: i for i, c in enumerate(ranked)}
+
     undecided = {c for r in roots for c in forced[r]}
-    # A min-heap of the classes in `queued`: every undecided class once, and
-    # classes that left the undecided set after they were pushed, which are
-    # skipped when they come off it.
-    queue = sorted(undecided)
+    # A min-heap of the ranks of the classes in `queued`: every undecided
+    # class once, and classes that left the undecided set after they were
+    # pushed, which are skipped when they come off it.
+    queue = sorted(rank[c] for c in undecided)
     queued = set(undecided)
     frames: list[list] = []
     cost, lb = 0.0, sum(h[c] for c in undecided)
@@ -420,10 +426,10 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
                     best_cost = cost
                     best_key = key
         elif cost + lb <= best_cost + 1e-9:
-            cid = heappop(queue)
+            cid = ranked[heappop(queue)]
             while cid not in undecided:
                 queued.remove(cid)
-                cid = heappop(queue)
+                cid = ranked[heappop(queue)]
             queued.remove(cid)
             undecided.remove(cid)
             frames.append([cid, rows_of[cid], 0, cost, lb - h[cid], ()])
@@ -456,7 +462,7 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
                         lb += h[x]
                         if x not in queued:
                             queued.add(x)
-                            heappush(queue, x)
+                            heappush(queue, rank[x])
                 frame[2] = i
                 frame[5] = grown
                 cost = base + score
@@ -467,7 +473,7 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
             frames.pop()
             undecided.add(cid)
             queued.add(cid)
-            heappush(queue, cid)
+            heappush(queue, rank[cid])
         else:
             break  # no frame left: the search is exhausted
     if best_choice is None:

@@ -10,7 +10,7 @@ from powersat import cli
 from powersat.equiv import Mismatch, cosimulate
 from powersat.ir import parse_design, print_design
 
-from _util import SRC, chain, flat_adders, random_stimuli, src_env
+from _util import EVERY_KIND, SRC, chain, flat_adders, random_design, random_stimuli, src_env
 
 FIG1 = """
 (module fig1
@@ -232,6 +232,50 @@ def test_malformed_config_shape_exits_1(fig1, tmp_path, capsys, change, message)
     assert invoke("--input", dsl, "--stimuli", cfg) == 1
     err = capsys.readouterr().err
     assert "powersat: error: " in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,config,message", [
+    ("(module m (output y (const 8 3)))", {"cycles": 10, "seed": 1, "inputs": {}},
+     "design 'm' has no input ports to drive with stimuli"),
+    (FIG1, {**CFG, "cycles": 1},
+     "bad stimuli config: cycles must be >= 2 to measure switching activity, got 1"),
+], ids=["no-input-ports", "one-cycle"])
+def test_unsimulable_run_exits_1_before_rewriting(tmp_path, capsys, monkeypatch, text, config,
+                                                  message):
+    def rewrite(*args, **kwargs):
+        raise AssertionError("rewriting ran")
+
+    monkeypatch.setattr(cli, "apply_rules", rewrite)
+    dsl = tmp_path / "m.dsl"
+    dsl.write_text(text)
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps(config))
+    assert invoke("--input", dsl, "--stimuli", cfg) == 1
+    err = capsys.readouterr().err
+    assert f"powersat: error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("draw", range(40))
+def test_generated_design_ends_in_an_exit_code_with_a_message(tmp_path, capsys, draw):
+    # Random designs of every operator kind through the whole pipeline under
+    # a small extraction budget: any exception other than the CLI's own
+    # errors escapes `cli.main` and fails the test.
+    rng = random.Random(f"cli-sweep/{draw}")
+    d = random_design(rng, max_nodes=24, name=f"sweep{draw}", kinds=EVERY_KIND)
+    dsl = tmp_path / "d.dsl"
+    dsl.write_text(print_design(d))
+    cfg = tmp_path / "d.json"
+    cfg.write_text(json.dumps({
+        "cycles": 64, "seed": draw,
+        "inputs": {p: {"toggle_rate": round(rng.uniform(0.02, 0.9), 3)} for p, _ in d.inputs},
+    }))
+    rc = invoke("--input", dsl, "--stimuli", cfg, "--max-iters", 2, "--time-budget", 0.05,
+                "--output", tmp_path / "opt.dsl")
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    assert rc == 0 or "powersat: error: " in err or "verification FAILED" in err
     assert "Traceback" not in err
 
 
