@@ -124,13 +124,15 @@ def run(args: argparse.Namespace) -> int:
     rules = rules_by_name(disabled=args.disable_rule)
     t = lap("parse", t0)
 
+    # Built from the design and the config alone, so a port without an entry
+    # or a vector list of the wrong length fails here too.
+    stimuli = generate_stimuli(cfg, design)
+    t = lap("stimuli", t)
+
     g = EGraph()
     g.add_expr(design)
     report_rw = apply_rules(g, rules, max_iters=args.max_iters, max_nodes=args.max_nodes)
     t = lap("rewrite", t)
-
-    stimuli = generate_stimuli(cfg, design)
-    t = lap("stimuli", t)
 
     # The design's own selection: where simulation starts, and the incumbent.
     # Each phase's products are dropped once the next phase has read them.

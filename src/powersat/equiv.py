@@ -3,13 +3,16 @@ and randomized rewrite-rule fuzzing.
 
 `simulate_design` is a scalar interpreter written apart from the e-graph
 simulator: it is the oracle for cosimulation and for the replay of every
-mismatch. Exhaustive enumeration runs the simulator's own operators.
+mismatch. It returns every node's waveform; `cosimulate` runs the same loop
+keeping only the outputs, dropping each other node's list once its last
+reader is evaluated. Exhaustive enumeration runs the simulator's own
+operators.
 """
 
 import itertools
 import operator
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,20 +58,28 @@ _UNMASKED = {"and": operator.and_, "or": operator.or_, "xor": operator.xor,
              "mul": operator.mul}
 
 
-def simulate_design(
-    d: Design, stimuli: dict[str, Waveform], cycles: int | None = None
-) -> tuple[dict[str, Waveform], list[list[int]]]:
-    """Outputs and per-node waveforms of one design under explicit stimuli,
-    over `cycles` cycles, by default as many as the shortest input stimulus
-    (none for a design without inputs).
+def _interpret(
+    d: Design, stimuli: dict[str, Waveform], cycles: int | None, keep: Collection[int]
+) -> tuple[dict[str, Waveform], list[list[int] | None]]:
+    """Outputs of one design and the waveforms of the nodes in `keep`, which
+    holds the output nodes; every other node's list is dropped (None) once
+    the last node reading it has been evaluated.
 
     Children precede their node, so each node's whole waveform is computed
     from its children's in one pass; only registers step through the cycles.
     """
     if cycles is None:
         cycles = min(stimuli[p].cycles for p, _ in d.inputs) if d.inputs else 0
-    values: list[list[int]] = []
-    for n in d.nodes:
+    last_reader = list(range(len(d.nodes)))  # a node nobody reads goes once built
+    for i, n in enumerate(d.nodes):
+        for c in n.children:
+            last_reader[c] = i
+    drops: dict[int, list[int]] = {}
+    for c, i in enumerate(last_reader):
+        if c not in keep:
+            drops.setdefault(i, []).append(c)
+    values: list[list[int] | None] = []
+    for i, n in enumerate(d.nodes):
         k = n.kind
         ch = [values[c] for c in n.children]
         mask = (1 << n.width) - 1
@@ -76,7 +87,7 @@ def simulate_design(
             src = stimuli[n.port]
             if src.width != n.width:
                 raise EquivError(f"stimulus for {n.port!r} is {src.width} bits, want {n.width}")
-            v = list(src.values[:cycles])
+            v = src.values[:cycles]
         elif k == "const":
             v = [n.value] * cycles
         elif k in ("reg", "treg"):  # a treg passes its data while enabled, else holds
@@ -110,21 +121,34 @@ def simulate_design(
         else:
             raise EquivError(f"cannot simulate {k!r}")
         values.append(v)
+        for c in drops.get(i, ()):
+            values[c] = None
     outputs = {p: Waveform(d.nodes[idx].width, values[idx]) for p, idx in d.outputs}
     return outputs, values
+
+
+def simulate_design(
+    d: Design, stimuli: dict[str, Waveform], cycles: int | None = None
+) -> tuple[dict[str, Waveform], list[list[int]]]:
+    """Outputs and per-node waveforms of one design under explicit stimuli,
+    over `cycles` cycles, by default as many as the shortest input stimulus
+    (none for a design without inputs)."""
+    return _interpret(d, stimuli, cycles, range(len(d.nodes)))
 
 
 def cosimulate(
     d1: Design, d2: Design, stimuli: dict[str, Waveform], cycles: int | None = None
 ) -> Mismatch | None:
     """Run both designs on the same stimuli, over `cycles` cycles as in
-    `simulate_design`; None means cycle-for-cycle equal."""
+    `simulate_design`; None means cycle-for-cycle equal. Each design keeps
+    only its output waveforms, so memory follows the nodes live at once, not
+    the design's size."""
     if d1.signature() != d2.signature():
         raise EquivError(
             f"port signatures differ: {d1.signature()} vs {d2.signature()}"
         )
-    out1, _ = simulate_design(d1, stimuli, cycles)
-    out2, _ = simulate_design(d2, stimuli, cycles)
+    out1 = _interpret(d1, stimuli, cycles, {idx for _, idx in d1.outputs})[0]
+    out2 = _interpret(d2, stimuli, cycles, {idx for _, idx in d2.outputs})[0]
     if all(out1[port].values == out2[port].values for port, _ in d1.outputs):
         return None
     for i in range(min(len(w.values) for w in out1.values())):

@@ -13,7 +13,9 @@ Class waveforms are stored in their width's `word_dtype`, 1 to 8 bytes a
 cycle. Operators compute in uint64 (Python ints past 64 bits), and a result
 narrows only after its width check. `class_waveforms` yields them one class
 at a time and keeps each only until its last reader is simulated, so
-`graph_activity` can count a whole graph without holding every waveform.
+`graph_activity` can count a whole graph without holding every waveform; it
+counts them in batches of at most `_ACTIVITY_BYTES`, so its working set does
+not grow with the cycle count either.
 """
 
 import math
@@ -330,9 +332,11 @@ def activity(w: Waveform) -> ActivityStats:
     return graph_activity({0: w})[0]
 
 
-# Waveforms counted per batch: bounds the rows and temporaries of one batch to
-# about 0.3 MB at 2,000 cycles and 8 bits.
-_ACTIVITY_BATCH = 64
+# Bytes of waveform rows counted per batch: 64 rows of 2,000 one-byte cycles.
+# A batch holds as many rows as fit, at least one, so a batch and the few
+# temporaries `_bit_counts` makes of its size stay bounded at any cycle count
+# and width.
+_ACTIVITY_BYTES = 128_000
 
 
 def _count_batch(width: int, cycles: int, batch: list[tuple[int, np.ndarray]],
@@ -350,8 +354,8 @@ def graph_activity(
 ) -> dict[int, ActivityStats]:
     """`activity` of every waveform of a dict or a stream of (class,
     waveform) pairs, in the order given. Waveforms of one shape are counted
-    once a batch of them fills, then dropped, so a stream is never held
-    whole."""
+    once a batch of them fills `_ACTIVITY_BYTES`, then dropped, so a stream
+    is never held whole."""
     pairs = waves.items() if isinstance(waves, dict) else waves
     pending: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
     stats: dict[int, ActivityStats] = {}
@@ -362,7 +366,7 @@ def graph_activity(
         order.append(cid)
         batch = pending.setdefault((w.width, w.cycles), [])
         batch.append((cid, w.array))
-        if len(batch) == _ACTIVITY_BATCH:
+        if len(batch) >= max(1, _ACTIVITY_BYTES // w.array.nbytes):
             _count_batch(w.width, w.cycles, batch, stats)
             batch.clear()
     for (width, cycles), batch in pending.items():

@@ -1,4 +1,9 @@
-"""Reproducible input stimuli: per-bit toggle streams from a counter-based PRNG."""
+"""Reproducible input stimuli: per-bit toggle streams from a counter-based PRNG.
+
+A port's streams are generated one bit at a time in reused buffers, so the
+memory a port needs beyond its words is a fixed number of bytes a cycle,
+whatever its width.
+"""
 
 import json
 from dataclasses import dataclass, field
@@ -235,33 +240,37 @@ class StimulusConfig:
         return cls(cycles, seed, inputs)
 
 
-def _unit_draws(stream_seeds: np.ndarray, count: int) -> np.ndarray:
-    """The first `count` splitmix64 draws of each seed as units in [0, 1):
-    one row per seed, equal to calling `SplitMix64(seed).unit()` `count` times."""
-    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    z = stream_seeds[:, None] + steps[None, :]
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    # uint64 -> float64 rounds to nearest, as Python's int / float does
-    return z.astype(np.float64) / _TWO64
-
-
 def _random_port(seed: int, port: str, width: int, spec: PortSpec, cycles: int) -> np.ndarray:
     """Words of one port: bit b is the toggle stream seeded by (seed, port, b),
     which starts at 1 with the initial static probability and flips on each
-    later cycle whose draw falls under the toggle rate."""
+    later cycle whose draw falls under the toggle rate.
+
+    Draw i of a stream is `SplitMix64(stream seed).unit()` called i times,
+    computed for all cycles at once; one stream at a time, in reused buffers."""
     base = seed ^ fnv1a64(port.encode("utf-8"))
-    seeds = np.array([(base ^ (b * _GOLDEN)) & _M64 for b in range(width)], dtype=np.uint64)
-    units = _unit_draws(seeds, cycles)
-    flips = np.empty(units.shape, dtype=np.uint8)
-    flips[:, 0] = units[:, 0] < spec.initial_static_probability
-    flips[:, 1:] = units[:, 1:] < spec.toggle_rate
-    bits = np.bitwise_xor.accumulate(flips, axis=1)
+    steps = np.arange(1, cycles + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z = np.empty(cycles, dtype=np.uint64)
+    scratch = np.empty(cycles, dtype=np.uint64)
+    units = scratch.view(np.float64)
+    flips = np.empty(cycles, dtype=np.uint8)
     dtype = word_dtype(width)
     words = np.zeros(cycles, dtype=dtype)
     for b in range(width):
-        words |= bits[b].astype(dtype) << dtype.type(b)
+        np.add(steps, np.uint64((base ^ (b * _GOLDEN)) & _M64), out=z)
+        z ^= np.right_shift(z, np.uint64(30), out=scratch)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= np.right_shift(z, np.uint64(27), out=scratch)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= np.right_shift(z, np.uint64(31), out=scratch)
+        # uint64 -> float64 rounds to nearest, as Python's int / float does
+        units[...] = z
+        units /= _TWO64
+        np.less(units[:1], spec.initial_static_probability, out=flips[:1])
+        np.less(units[1:], spec.toggle_rate, out=flips[1:])
+        np.bitwise_xor.accumulate(flips, out=flips)
+        bit = flips.astype(dtype)
+        bit <<= dtype.type(b)
+        words |= bit
     return words
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from powersat import cli
 from powersat.equiv import Mismatch, cosimulate
-from powersat.ir import parse_design, print_design
+from powersat.ir import Design, DesignBuilder, parse_design, print_design
 
 from _util import EVERY_KIND, SRC, chain, flat_adders, random_design, random_stimuli, src_env
 
@@ -240,7 +240,11 @@ def test_malformed_config_shape_exits_1(fig1, tmp_path, capsys, change, message)
      "design 'm' has no input ports to drive with stimuli"),
     (FIG1, {**CFG, "cycles": 1},
      "bad stimuli config: cycles must be >= 2 to measure switching activity, got 1"),
-], ids=["no-input-ports", "one-cycle"])
+    (FIG1, {**CFG, "cycles": 4, "inputs": {**CFG["inputs"], "a": {"vectors": [1, 2]}}},
+     "port 'a': 2 vectors for 4 cycles"),
+    (FIG1, {**CFG, "inputs": {k: v for k, v in CFG["inputs"].items() if k != "b"}},
+     "no stimuli entry for input port 'b'"),
+], ids=["no-input-ports", "one-cycle", "vector-count", "port-without-entry"])
 def test_unsimulable_run_exits_1_before_rewriting(tmp_path, capsys, monkeypatch, text, config,
                                                   message):
     def rewrite(*args, **kwargs):
@@ -276,6 +280,99 @@ def test_generated_design_ends_in_an_exit_code_with_a_message(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert rc in (0, 1, 2)
     assert rc == 0 or "powersat: error: " in err or "verification FAILED" in err
+    assert "Traceback" not in err
+
+
+# A small design with a random port, a vector port and a select, and a
+# config that sets every field; `_mutated_configs` drops, retypes and pushes
+# each field to its edges.
+SWEEP_DSL = ("(module sweep (input a 4) (input b 4) (input s 1)"
+             " (output y (mux s (add a b) (xor a b))))")
+SWEEP_CFG = {
+    "cycles": 8, "seed": 5,
+    "inputs": {"a": {"toggle_rate": 0.3, "initial_static_probability": 0.5},
+               "b": {"vectors": [0, 1, 2, 3, 4, 5, 6, 7]},
+               "s": {"toggle_rate": 0.5}},
+    "area_model": {"mul": 2},
+}
+SWEEP_FIELDS = [("cycles",), ("seed",), ("inputs",), ("inputs", "a"),
+                ("inputs", "a", "toggle_rate"), ("inputs", "a", "initial_static_probability"),
+                ("inputs", "b", "vectors"), ("inputs", "b", "vectors", 0), ("area_model",),
+                ("area_model", "mul")]
+
+
+def _mutated(path: tuple, value=None, drop: bool = False) -> dict:
+    config = json.loads(json.dumps(SWEEP_CFG))
+    *parents, last = path
+    holder = config
+    for key in parents:
+        holder = holder[key]
+    if drop:
+        del holder[last]
+    else:
+        holder[last] = value
+    return config
+
+
+def _mutated_configs():
+    for path in SWEEP_FIELDS:
+        name = ".".join(map(str, path))
+        yield f"drop-{name}", _mutated(path, drop=True)
+        for kind, value in (("string", "x"), ("list", []), ("bool", True), ("null", None)):
+            yield f"{kind}-{name}", _mutated(path, value)
+    for cycles in (0, 1, 2):
+        yield f"cycles-{cycles}", {**_mutated(("inputs", "b", "vectors"), list(range(cycles))),
+                                   "cycles": cycles}
+    for rate in (-0.1, 1.0, 1.1, float("nan")):
+        yield f"toggle-rate-{rate}", _mutated(("inputs", "a", "toggle_rate"), rate)
+        yield f"static-probability-{rate}", _mutated(
+            ("inputs", "a", "initial_static_probability"), rate)
+    yield "inputs-empty", _mutated(("inputs",), {})
+
+
+MUTATED_CONFIGS = dict(_mutated_configs())
+EXIT_MESSAGES = {0: "verification passed", 1: "powersat: error: ", 2: "verification FAILED"}
+
+
+@pytest.mark.parametrize("case", list(MUTATED_CONFIGS))
+def test_mutated_config_ends_in_an_exit_code_with_a_message(tmp_path, capsys, case):
+    dsl = tmp_path / "sweep.dsl"
+    dsl.write_text(SWEEP_DSL)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(MUTATED_CONFIGS[case]))
+    rc = invoke("--input", dsl, "--stimuli", cfg, "--max-iters", 1,
+                "--output", tmp_path / "opt.dsl")
+    err = capsys.readouterr().err
+    assert rc in EXIT_MESSAGES
+    assert EXIT_MESSAGES[rc] in err
+    assert "Traceback" not in err
+
+
+def _register_chain(depth: int) -> Design:
+    """A `depth`-deep chain alternating `not` and an enabled register."""
+    b = DesignBuilder("regs")
+    b.add_input("a", 4)
+    b.add_input("en", 1)
+    top = b.var("a")
+    for i in range(depth):
+        top = b.op("reg", top, b.var("en")) if i % 2 else b.op("not", top)
+    b.add_output("y", top)
+    return b.finish()
+
+
+@pytest.mark.parametrize("make", [chain, _register_chain], ids=["add-xor", "not-reg"])
+def test_deep_chain_ends_in_an_exit_code_with_a_message(tmp_path, capsys, make):
+    d = make(3000)
+    dsl = tmp_path / "deep.dsl"
+    dsl.write_text(print_design(d))
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps({"cycles": 16, "seed": 2,
+                               "inputs": {p: {"toggle_rate": 0.5} for p, _ in d.inputs}}))
+    rc = invoke("--input", dsl, "--stimuli", cfg, "--max-iters", 1, "--time-budget", 0.05,
+                "--output", tmp_path / "opt.dsl")
+    err = capsys.readouterr().err
+    assert rc in EXIT_MESSAGES
+    assert EXIT_MESSAGES[rc] in err
     assert "Traceback" not in err
 
 

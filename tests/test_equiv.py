@@ -18,7 +18,7 @@ from powersat.ir import parse_design, print_design
 from powersat.rewrite import PConst, PNode, PRep, PVar, Rewrite, rules_by_name
 from powersat.stimulus import Waveform, generate_stimuli
 
-from _util import EVERY_KIND, random_design, random_stimuli, traced_peak
+from _util import EVERY_KIND, chain, random_design, random_stimuli, traced_peak
 
 REG = "(module r (input a 4) (input en 1) (output q (reg a en)))"
 TREG = "(module r (input a 4) (input en 1) (output q (treg a en)))"
@@ -354,6 +354,19 @@ def test_exhaustive_check_memory_is_bounded():
     result, peak = traced_peak(lambda: exhaustive_check(d, d, 5))
     assert result is None  # 20 stream bits
     assert peak < 32 << 20
+
+
+def test_cosimulation_memory_follows_the_live_nodes():
+    # Each design holds its two input slices, the node in hand, its child and
+    # its output, and the first design's output stays while the second runs:
+    # a few lists of one 8-byte pointer a cycle (4-bit words are cached
+    # ints), however long the chain.
+    d = chain(300)
+    cycles = 20_000
+    stimuli = random_stimuli(random.Random(3), d, cycles)
+    result, peak = traced_peak(lambda: cosimulate(d, d, stimuli))
+    assert result is None
+    assert peak < 8 * 8 * cycles
 
 
 def test_exhaustive_check_of_designs_without_inputs():

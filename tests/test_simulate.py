@@ -14,6 +14,7 @@ from powersat.extract import seed_from_design
 from powersat.ir import DesignBuilder, parse_design
 from powersat.rewrite import apply_rules, rules_by_name
 from powersat.simulate import (
+    _ACTIVITY_BYTES,
     SimulationError,
     _hold,
     _reg,
@@ -416,6 +417,22 @@ def test_streamed_activity_memory_is_bounded(grown_comb):
     stats, peak = traced_peak(lambda: graph_activity(class_waveforms(g, rep, stim)))
     assert len(stats) == 2419
     assert peak < 5 << 20
+
+
+def test_activity_batches_are_bounded_in_bytes():
+    # A batch holds at most `_ACTIVITY_BYTES` of waveforms; its row matrix,
+    # the XOR of neighbouring cycles and one masked temporary are each no
+    # larger. The rest is the waveform in hand and the statistics, so the
+    # peak does not grow with the number of waveforms.
+    cycles, rng = 50_000, np.random.default_rng(5)
+
+    def stream():
+        for cid in range(100):
+            yield cid, Waveform(8, rng.integers(0, 256, cycles, dtype=np.uint8))
+
+    stats, peak = traced_peak(lambda: graph_activity(stream()))
+    assert len(stats) == 100
+    assert peak < 4 * _ACTIVITY_BYTES + 8 * cycles
 
 
 # Representative pins: sha256 of the sorted (class, rendered representative)

@@ -21,6 +21,8 @@ from powersat.stimulus import (
     word_dtype,
 )
 
+from _util import traced_peak
+
 DESIGN = parse_design("""
 (module m (input a 8) (input b 1)
   (output y (and a (rep8 b))))
@@ -271,3 +273,18 @@ def stimulus_digest(waves: dict[str, Waveform]) -> str:
 def test_corpus_stimuli_are_pinned(name, config):
     waves = generate_stimuli(benchmarks.stimuli_config(name, config), benchmarks.design(name))
     assert stimulus_digest(waves) == CORPUS_STIMULUS_SHA256[name, config]
+
+
+def test_stimulus_memory_is_independent_of_port_width():
+    # One bit stream is built at a time: the draw counter, the draws and one
+    # scratch array (8 bytes a cycle each), the flips (1 byte) and the words
+    # with one shifted bit (2 bytes each at 16 bits), whatever the width.
+    # numpy's casting buffers are a fixed size.
+    cycles = 50_000
+    b = DesignBuilder("wide")
+    b.add_input("a", 16)
+    b.add_output("y", b.var("a"))
+    config = StimulusConfig(cycles, 7, {"a": PortSpec(toggle_rate=0.3)})
+    waves, peak = traced_peak(lambda: generate_stimuli(config, b.finish()))
+    assert waves["a"].cycles == cycles
+    assert peak < cycles * (3 * 8 + 1 + 2 * 2) + (256 << 10)
