@@ -1,36 +1,58 @@
 """E-graph over netlist operators: union-find, hashconsing, and congruence rebuilding."""
 
 import math
-from typing import NamedTuple
+from itertools import chain
+from operator import itemgetter
 
 from .ir import Design
 
 # Design-space counts saturate here so huge e-graphs stay cheap to summarize.
 COUNT_CAP = (1 << 63) - 1
 
+# A provenance tag is one int: the member's creation index shifted left by
+# this many bits, plus the index of its rule in the graph's name table.
+_RULE_BITS = 16
+_RULE_MASK = (1 << _RULE_BITS) - 1
+
 
 class EGraphError(Exception):
     """Internal invariant violation; indicates a bug, not bad user input."""
 
 
-class ENode(NamedTuple):
+class ENode(tuple):
     """An operator whose children are e-class ids.
 
-    A tuple, so construction, hashing and equality run in C: rewriting
-    spends most of its time building and looking up e-nodes.
+    One tuple, `(kind, *children, port, value, count, width)`, so
+    construction, hashing and equality run in C and a node costs one object:
+    rewriting spends most of its time building and looking up e-nodes. The
+    children are `n[1:-4]`; hot loops index the tuple, the named accessors
+    serve the rest.
     """
 
-    kind: str
-    children: tuple[int, ...] = ()
-    width: int = 0
-    port: str = ""
-    value: int = 0
-    count: int = 0
+    __slots__ = ()
+
+    def __new__(cls, kind: str, children: tuple[int, ...] = (), width: int = 0,
+                port: str = "", value: int = 0, count: int = 0):
+        return tuple.__new__(cls, (kind, *children, port, value, count, width))
+
+    kind = property(itemgetter(0))
+    children = property(itemgetter(slice(1, -4)))
+    port = property(itemgetter(-4))
+    value = property(itemgetter(-3))
+    count = property(itemgetter(-2))
+    width = property(itemgetter(-1))
+
+    def __getnewargs__(self):
+        return self.kind, self.children, self.width, self.port, self.value, self.count
+
+    def __repr__(self) -> str:
+        return (f"ENode(kind={self.kind!r}, children={self.children!r}, width={self.width!r}, "
+                f"port={self.port!r}, value={self.value!r}, count={self.count!r})")
 
 
 def node_key(n: ENode) -> tuple:
     """Stable sort key for e-nodes (Python's hash() is salted per process)."""
-    return (n.kind, n.children, n.port, n.value, n.count)
+    return (n[0], n[1:-4], n[-4], n[-3], n[-2])
 
 
 def enode_of(design: Design, idx: int, classes: list[int]) -> ENode:
@@ -48,16 +70,18 @@ class _SortedMembers(dict):
         self.classes = classes
 
     def __missing__(self, cid: int) -> list[ENode]:
-        hit = self[cid] = sorted(self.classes[cid].nodes, key=node_key)
+        hit = self[cid] = sorted(self.classes[cid].nodes[::2], key=node_key)
         return hit
 
 
 class _EClass:
     __slots__ = ("nodes", "parents")
 
-    def __init__(self):
-        # Member -> (creation index, rule name or "design"): its provenance.
-        self.nodes: dict[ENode, tuple[int, str]] = {}
+    def __init__(self, nodes: list[ENode | int]):
+        # The members, each followed by its provenance tag (creation index
+        # and rule, packed): a flat list, 72 bytes for one member, as most
+        # classes have, against a dict's 224.
+        self.nodes = nodes
         # The nodes that read this class, each followed by its class id: a
         # flat list, not one (node, class) tuple an entry.
         self.parents: list[ENode | int] = []
@@ -71,6 +95,7 @@ class EGraph:
     (node, class) pairs that read it, so rebuild finds exactly the nodes a
     merge made stale. A rebuild hands out one object per re-canonicalized
     form, shared by the member table, the hashcons and the parent lists.
+    Each member's provenance is one int (see `decode_tag`).
     """
 
     def __init__(self):
@@ -84,11 +109,29 @@ class EGraph:
         self.roots: list[int] = []
         # Bumped by any structural change; equal before/after means saturation.
         self.version = 0
-        self._members = _SortedMembers(self._classes)
-        self._members_version = self.version
-        self._order: list[tuple[list[int], bool]] = []
-        self._order_version = -1
+        # Caches of the current version, dropped by every change.
+        self._members: _SortedMembers | None = None
+        self._order: list[tuple[list[int], bool]] | None = None
+        # Rule names by index, as packed into provenance tags.
+        self._rule_names: list[str] = []
+        self._rule_index: dict[str, int] = {}
         self.origin_tag = "design"
+
+    @property
+    def origin_tag(self) -> str:
+        """The provenance name given to nodes added from now on."""
+        return self._rule_names[self._rule]
+
+    @origin_tag.setter
+    def origin_tag(self, name: str) -> None:
+        rule = self._rule_index.get(name)
+        if rule is None:
+            rule = len(self._rule_names)
+            if rule > _RULE_MASK:
+                raise EGraphError(f"more than {_RULE_MASK + 1} provenance names in one graph")
+            self._rule_index[name] = rule
+            self._rule_names.append(name)
+        self._rule = rule
 
     # -- union-find --------------------------------------------------------
 
@@ -102,20 +145,22 @@ class EGraph:
             self._uf[c], c = root, self._uf[c]
         return root
 
-    def _fresh(self, width: int) -> int:
+    def _fresh(self, n: ENode) -> int:
+        """A new class whose one member is `n`, tagged with its creation."""
         cid = len(self._uf)
         self._uf.append(cid)
-        self._width.append(width)
-        self._classes[cid] = _EClass()
+        self._width.append(n[-1])
+        self._classes[cid] = _EClass([n, self.version << _RULE_BITS | self._rule])
         return cid
 
     # -- construction ------------------------------------------------------
 
     def canonicalize(self, n: ENode) -> ENode:
-        ch = tuple(map(self.find, n.children))
-        if ch == n.children:
+        children = n[1:-4]
+        ch = tuple(map(self.find, children))
+        if ch == children:
             return n
-        return ENode(n.kind, ch, n.width, n.port, n.value, n.count)
+        return tuple.__new__(ENode, (n[0], *ch, *n[-4:]))
 
     def add(self, n: ENode) -> int:
         return self.add_canonical(self.canonicalize(n))
@@ -125,12 +170,12 @@ class EGraph:
         hit = self._hashcons.get(n)
         if hit is not None:
             return self.find(hit)
-        cid = self._fresh(n.width)
-        self._classes[cid].nodes[n] = (self.version, self.origin_tag)
-        for c in set(n.children):
+        cid = self._fresh(n)
+        for c in set(n[1:-4]):
             self._classes[c].parents += (n, cid)
         self._hashcons[n] = cid
         self.version += 1
+        self._members = self._order = None
         return cid
 
     def add_expr(self, design: Design) -> list[int]:
@@ -171,11 +216,12 @@ class EGraph:
         if len(ca.nodes) < len(cb.nodes):
             a, b, ca, cb = b, a, cb, ca
         self._uf[b] = a
-        ca.nodes |= cb.nodes
+        ca.nodes += cb.nodes  # members of two classes are distinct forms
         ca.parents.extend(cb.parents)
         del self._classes[b]
         self._worklist.append(a)
         self.version += 1
+        self._members = self._order = None
         return a
 
     def _repair(self, cid: int, touched: set[int], interned: dict[ENode, ENode]) -> None:
@@ -186,14 +232,19 @@ class EGraph:
         # The list is detached first: merges below extend the survivor's list.
         old_parents, cls.parents = cls.parents, []
         pnodes, owners = old_parents[::2], old_parents[1::2]
-        for pnode in pnodes:
-            self._hashcons.pop(pnode, None)
         # A parent already canonical is the live object of its form; a
-        # re-canonicalized parent equal to it takes that object.
+        # re-canonicalized parent equal to it takes that object. A stale
+        # parent's key goes. A canonical parent's key stays, since a pop and
+        # re-insert would spend a new slot and grow the table, but counts as
+        # absent until its form is entered below, as if popped.
         forms = [self.canonicalize(p) for p in pnodes]
+        absent: set[ENode] = set()
         for p, n in zip(pnodes, forms):
             if n is p:
                 interned.setdefault(n, n)
+                absent.add(n)
+            else:
+                self._hashcons.pop(p, None)
         version = self.version
         fresh: dict[ENode, int] = {}
         for pnode, n, pcls in zip(pnodes, forms, owners):
@@ -205,11 +256,12 @@ class EGraph:
             if n in fresh and fresh[n] != pcls:
                 pcls = self.merge(fresh[n], pcls)
             fresh[n] = pcls
-            hit = self._hashcons.get(n)
+            hit = None if n in absent else self._hashcons.get(n)
             if hit is not None and self.find(hit) != pcls:
                 pcls = self.merge(hit, pcls)
                 fresh[n] = pcls
             self._hashcons[n] = pcls
+            absent.discard(n)
         touched.update(fresh.values())
         parents = self._classes[self.find(cid)].parents
         for entry in fresh.items():
@@ -227,6 +279,9 @@ class EGraph:
         `compact_hashcons` but cannot be hit: a lookup's key has only root
         children, and a merged-away id never becomes a root again.
         """
+        if not self._worklist:
+            return
+        self._members = self._order = None
         touched: set[int] = set()
         interned: dict[ENode, ENode] = {}  # form -> its one object
         while self._worklist:
@@ -236,14 +291,15 @@ class EGraph:
                 self._repair(cid, touched, interned)
         for cid in {self.find(c) for c in touched}:
             cls = self._classes[cid]
-            members: dict[ENode, tuple[int, str]] = {}
-            for n, tag in cls.nodes.items():
+            members: dict[ENode, int] = {}
+            nodes = cls.nodes
+            for n, tag in zip(nodes[::2], nodes[1::2]):
                 m = self.canonicalize(n)
                 if m is not n:
                     m = self._intern(m, interned)
                 if members.setdefault(m, tag) > tag:  # the earlier tag wins
                     members[m] = tag
-            cls.nodes = members
+            cls.nodes = [*chain.from_iterable(members.items())]
 
     def _intern(self, n: ENode, interned: dict[ENode, ENode]) -> ENode:
         """The one object of re-canonicalized form `n` during a rebuild: the
@@ -252,19 +308,30 @@ class EGraph:
         if obj is None:
             hit = self._hashcons.get(n)
             if hit is not None:
-                obj = next((m for m in self._classes[self.find(hit)].nodes if m == n), None)
+                obj = next((m for m in self._classes[self.find(hit)].nodes[::2] if m == n), None)
             obj = interned[n] = n if obj is None else obj
         return obj
 
     def compact_hashcons(self) -> None:
-        """Rebuild the hashcons from the live members, after a rebuild.
+        """Rebuild the hashcons and the parent lists from the live members,
+        after a rebuild.
 
         Repairs pop parent keys and insert their repaired forms, which
         leaves stale keys behind and the table larger than its live keys
         need: 1.31 MB for 8,349 keys against 0.29 MB for the 8,244 live ones
-        on the combinational add-tree at 4 iterations.
+        on the combinational add-tree at 4 iterations. A repair rewrites
+        only the repaired class's parent list, so the lists of a node's
+        other children keep its stale forms: 2,650 objects there.
         """
-        self._hashcons = {n: cid for cid, cls in self._classes.items() for n in cls.nodes}
+        classes = self._classes
+        self._hashcons = {}
+        for cls in classes.values():
+            cls.parents = []
+        for cid, cls in classes.items():
+            for n in cls.nodes[::2]:
+                self._hashcons[n] = cid
+                for c in set(n[1:-4]):
+                    classes[c].parents += (n, cid)
 
     # -- queries -----------------------------------------------------------
 
@@ -277,20 +344,19 @@ class EGraph:
     def sorted_members(self) -> dict[int, list[ENode]]:
         """Canonical class id -> its members sorted by node key (what
         `nodes_of` returns); valid until the graph next changes."""
-        if self._members_version != self.version:
+        if self._members is None:
             self._members = _SortedMembers(self._classes)
-            self._members_version = self.version
         return self._members
 
     def class_order(self) -> list[tuple[list[int], bool]]:
         """The strongly connected components of the class graph, children
         first, each with whether it closes a cycle; a class reads the child
         classes of all its members. Valid until the graph next changes."""
-        if self._order_version != self.version:
-            succ = {cid: list(dict.fromkeys([self.find(c) for n in cls.nodes for c in n.children]))
+        if self._order is None:
+            find = self.find
+            succ = {cid: list(dict.fromkeys([find(c) for n in cls.nodes[::2] for c in n[1:-4]]))
                     for cid, cls in self._classes.items()}
             self._order = [(comp, closes_cycle(comp, succ)) for comp in strongly_connected(succ)]
-            self._order_version = self.version
         return self._order
 
     def class_width(self, cid: int) -> int:
@@ -300,7 +366,7 @@ class EGraph:
         return len(self._classes)
 
     def enode_count(self) -> int:
-        return sum(len(c.nodes) for c in self._classes.values())
+        return sum(len(c.nodes) for c in self._classes.values()) // 2
 
     def root_classes(self) -> list[int]:
         return [self.find(c) for c in self.roots]
@@ -308,8 +374,14 @@ class EGraph:
     def provenance(self, n: ENode) -> str:
         """Name of the rewrite that first introduced this node."""
         hit = self._hashcons.get(n)
-        tag = None if hit is None else self._classes[self.find(hit)].nodes.get(n)
-        return "design" if tag is None else tag[1]
+        nodes = [] if hit is None else self._classes[self.find(hit)].nodes
+        tag = next((t for m, t in zip(nodes[::2], nodes[1::2]) if m == n), None)
+        return "design" if tag is None else self.decode_tag(tag)[1]
+
+    def decode_tag(self, tag: int) -> tuple[int, str]:
+        """A member's provenance tag as (creation index, rule name). The
+        index is in the high bits, so comparing tags compares indices."""
+        return tag >> _RULE_BITS, self._rule_names[tag & _RULE_MASK]
 
     def check_invariants(self) -> None:
         """Canonical ids and members, each member in one class, under its
@@ -322,7 +394,7 @@ class EGraph:
         for cid, cls in self._classes.items():
             if self.find(cid) != cid:
                 raise EGraphError(f"class {cid} stored under a non-canonical id")
-            for n in cls.nodes:
+            for n in cls.nodes[::2]:
                 if self.canonicalize(n) != n:
                     raise EGraphError(f"stale children in {n} of class {cid}")
                 if n in seen:
@@ -356,8 +428,8 @@ class EGraph:
                 counts.update(dict.fromkeys(comp, COUNT_CAP))
             else:
                 counts[comp[0]] = min(COUNT_CAP, sum(
-                    math.prod(counts[self.find(c)] for c in n.children)
-                    for n in self._classes[comp[0]].nodes))
+                    math.prod(counts[self.find(c)] for c in n[1:-4])
+                    for n in self._classes[comp[0]].nodes[::2]))
         return min(COUNT_CAP, math.prod(counts[c] for c in {self.find(r) for r in roots}))
 
     def render(self, n: ENode) -> str:

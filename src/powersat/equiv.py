@@ -87,7 +87,7 @@ def _interpret(
             src = stimuli[n.port]
             if src.width != n.width:
                 raise EquivError(f"stimulus for {n.port!r} is {src.width} bits, want {n.width}")
-            v = src.values[:cycles]
+            v = src.head(cycles)
         elif k == "const":
             v = [n.value] * cycles
         elif k in ("reg", "treg"):  # a treg passes its data while enabled, else holds

@@ -96,7 +96,8 @@ class Rewrite:
 # equality test. A match is the tuple of the matched class and the bound
 # locals; a second generated function turns it into a substitution dict
 # when the match is applied. The generated code reads e-nodes by index:
-# kind 0, children 1, width 2, value 4, count 5.
+# kind 0, child i at 1 + i; a constant's value 2 and width 4; a
+# replication's count 4.
 
 
 class _Matcher(NamedTuple):
@@ -153,7 +154,7 @@ def _compile(pat: Pattern) -> _Matcher:
             step(rest, bind_class(p.name, c, depth))
         elif isinstance(p, PConst):
             emit(depth, f"for {n} in members[{c}]:")
-            emit(depth + 1, f"if {n}[0] == 'const' and {n}[2] == {p.width} and {n}[4] == {p.value}:")
+            emit(depth + 1, f"if {n}[0] == 'const' and {n}[4] == {p.width} and {n}[2] == {p.value}:")
             step(rest, depth + 2)
             emit(depth + 2, "break")
         elif isinstance(p, PRep):
@@ -162,8 +163,8 @@ def _compile(pat: Pattern) -> _Matcher:
                 raise EGraphError(f"PRep width reference {p.width_of!r} unbound before the PRep")
             emit(depth, f"w{n} = width({of})")
             emit(depth, f"for {n} in members[{c}]:")
-            emit(depth + 1, f"if {n}[0] == 'rep' and {n}[5] == w{n}:")
-            emit(depth + 2, f"c{n} = find({n}[1][0])")
+            emit(depth + 1, f"if {n}[0] == 'rep' and {n}[4] == w{n}:")
+            emit(depth + 2, f"c{n} = find({n}[1])")
             step([(p.child, f"c{n}"), *rest], depth + 2)
         elif isinstance(p, PNode):
             if p.bind is not None:
@@ -186,7 +187,7 @@ def _compile(pat: Pattern) -> _Matcher:
                 emit(depth + 2, f"k{n} = {n}[0]")
             children = []
             for i, child in enumerate(p.children):
-                emit(depth + 2, f"c{n}_{i} = find({n}[1][{i}])")
+                emit(depth + 2, f"c{n}_{i} = find({n}[{1 + i}])")
                 children.append((child, f"c{n}_{i}"))
             step([*children, *rest], depth + 2)
         else:

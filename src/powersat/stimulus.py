@@ -88,6 +88,13 @@ class Waveform:
             self._values = self._array.tolist()
         return self._values
 
+    def head(self, cycles: int) -> list[int]:
+        """The first `cycles` words as a new list of Python ints, without
+        keeping the list form of an array-backed waveform."""
+        if self._values is not None:
+            return self._values[:cycles]
+        return self._array[:cycles].tolist()
+
     @property
     def array(self) -> np.ndarray:
         if self._array is None:
@@ -180,7 +187,7 @@ class StimulusConfig:
         cycles = _field(where, "cycles", raw["cycles"], _word)
         seed = _field(where, "seed", raw["seed"], _word)
         if cycles < 1:
-            raise StimulusError("cycles must be >= 1")
+            raise StimulusError(f"{where}: cycles must be >= 1")
         ports = raw.get("inputs", {})
         if not isinstance(ports, dict):
             raise StimulusError(f"{where}: inputs must be an object")

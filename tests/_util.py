@@ -101,11 +101,24 @@ def traced_peak(fn):
     return result, peak
 
 
+def traced_held(fn):
+    """`fn()`'s result and the bytes Python still holds, once it returns,
+    of what it allocated, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, held
+
+
 def provenance_tags(g: EGraph) -> dict[ENode, tuple[int, str]]:
     """Every member of the graph with its (creation index, rule) tag, checking
     that no two members share a creation index: tags of forms that met in a
     rebuild collapse to one, and nothing else keeps a tag."""
-    tags = {n: tag for cls in g._classes.values() for n, tag in cls.nodes.items()}
+    tags = {n: g.decode_tag(tag) for cls in g._classes.values()
+            for n, tag in zip(cls.nodes[::2], cls.nodes[1::2])}
     assert len({index for index, _ in tags.values()}) == len(tags)
     assert all(g.provenance(n) == rule for n, (_, rule) in tags.items())
     return tags

@@ -210,6 +210,7 @@ def test_malformed_stimuli_json_exits_1(fig1, tmp_path, capsys):
     ({"cycles": 2.9}, "bad stimuli config: bad cycles 2.9"),
     ({"seed": 1.5}, "bad stimuli config: bad seed 1.5"),
     ({"cycles": True}, "bad stimuli config: bad cycles True"),
+    ({"cycles": 0}, "bad stimuli config: cycles must be >= 1"),
     ({"inputs": {**CFG["inputs"], "s": {"vectors": [1.7]}}}, "port 's': bad vector 1.7"),
     ({"inputs": {**CFG["inputs"], "s": {"vectors": [True]}}}, "port 's': bad vector True"),
     ({"inputs": {**CFG["inputs"], "s": {"toggle_rate": True}}}, "port 's': bad toggle_rate True"),
@@ -221,8 +222,8 @@ def test_malformed_stimuli_json_exits_1(fig1, tmp_path, capsys):
     ({"inputs": {**CFG["inputs"], "s": {"toggle_rte": 0.1}}}, "port 's': unknown key 'toggle_rte'"),
     ({"inputs": {**CFG["inputs"], "zz": {"toggle_rate": 0.5}}}, "stimuli for 'zz': no such input port"),
 ], ids=["inputs-list", "vectors-int", "vectors-null", "toggle-rate-null", "area-model-list",
-        "area-model-null", "cycles-fraction", "seed-fraction", "cycles-bool", "vector-fraction",
-        "vector-bool", "toggle-rate-bool", "area-model-nan", "area-model-inf",
+        "area-model-null", "cycles-fraction", "seed-fraction", "cycles-bool", "cycles-zero",
+        "vector-fraction", "vector-bool", "toggle-rate-bool", "area-model-nan", "area-model-inf",
         "area-model-negative", "area-model-unknown-op", "unknown-key", "unknown-port-key",
         "unknown-port"])
 def test_malformed_config_shape_exits_1(fig1, tmp_path, capsys, change, message):

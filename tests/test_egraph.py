@@ -287,6 +287,34 @@ def test_rewriting_keeps_invariants(seed, iters):
             assert seen.setdefault(n, cid) == cid
 
 
+@pytest.mark.parametrize("name,iters", [("fig1_op_isolate", 8), ("comb_mux_add_tree", 3)])
+def test_rewritten_graph_lists_only_live_parents_and_still_rebuilds(name, iters):
+    # apply_rules rebuilds the parent lists from the live members; they must
+    # list every member under each child class, hold nothing else, and still
+    # drive a later rebuild to congruence
+    g = EGraph()
+    g.add_expr(benchmarks.design(name))
+    apply_rules(g, rule_library(), max_iters=iters)
+    g.check_invariants()
+    live = {n: cid for cid in g.class_ids() for n in g.nodes_of(cid)}
+    for cid in g.class_ids():
+        parents = g._classes[cid].parents
+        for p, owner in zip(parents[::2], parents[1::2]):
+            assert live.get(p, -1) == owner and cid in p.children
+    by_width = {}
+    for cid in g.class_ids():
+        by_width.setdefault(g.class_width(cid), []).append(cid)
+    a, b = next(ids[:2] for ids in by_width.values() if len(ids) > 1)
+    g.merge(a, b)
+    g.rebuild()
+    g.check_invariants()
+    seen = {}
+    for cid in g.class_ids():
+        for n in g.nodes_of(cid):
+            assert g.canonicalize(n) == n
+            assert seen.setdefault(n, cid) == cid
+
+
 def test_rewriting_leaves_only_live_nodes_in_the_hashcons():
     # on this design repairs leave 2 keys with merged-away children beside
     # 56 live nodes; apply_rules drops them once it is done

@@ -16,9 +16,9 @@ from powersat.equiv import (
 )
 from powersat.ir import parse_design, print_design
 from powersat.rewrite import PConst, PNode, PRep, PVar, Rewrite, rules_by_name
-from powersat.stimulus import Waveform, generate_stimuli
+from powersat.stimulus import StimulusConfig, Waveform, generate_stimuli
 
-from _util import EVERY_KIND, chain, random_design, random_stimuli, traced_peak
+from _util import EVERY_KIND, chain, random_design, random_stimuli, traced_held, traced_peak
 
 REG = "(module r (input a 4) (input en 1) (output q (reg a en)))"
 TREG = "(module r (input a 4) (input en 1) (output q (treg a en)))"
@@ -367,6 +367,17 @@ def test_cosimulation_memory_follows_the_live_nodes():
     result, peak = traced_peak(lambda: cosimulate(d, d, stimuli))
     assert result is None
     assert peak < 8 * 8 * cycles
+
+
+def test_cosimulation_leaves_the_stimuli_as_they_were():
+    # generated stimuli are arrays; reading them as lists once cached one
+    # Python list per input port on the waveforms, 8.0 MB after this run
+    d = benchmarks.design("comb_mux_add_tree")
+    cfg = benchmarks.stimuli_config("comb_mux_add_tree", "cfg1")
+    stimuli = generate_stimuli(StimulusConfig(100_000, cfg.seed, cfg.inputs), d)
+    result, held = traced_held(lambda: cosimulate(d, d, stimuli))
+    assert result is None
+    assert held < 64 << 10
 
 
 def test_exhaustive_check_of_designs_without_inputs():

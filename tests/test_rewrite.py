@@ -24,7 +24,7 @@ from powersat.rewrite import (
     _n,
 )
 
-from _util import EVERY_KIND, provenance_tags, random_design, src_env, traced_peak
+from _util import EVERY_KIND, provenance_tags, random_design, src_env, traced_held, traced_peak
 
 FIG1 = """
 (module fig1
@@ -481,9 +481,28 @@ def test_rebuild_keeps_one_object_per_form(draw):
 
 def test_rewriting_memory_is_bounded():
     # before live forms shared one object, parent lists were tuples and
-    # match lists held dicts, the peak was 14.1 MB (tracemalloc)
+    # match lists held dicts, the peak was 14.1 MB (tracemalloc); with
+    # (index, rule) tag tuples, a children tuple per node, a dict per member
+    # table and repairs that pop and re-insert live hashcons keys, 9.3 MB;
+    # now 6.2 MB
     g = EGraph()
     g.add_expr(benchmarks.design("comb_mux_add_tree"))
     report, peak = traced_peak(lambda: apply_rules(g, rule_library(), max_iters=4))
     assert report.iterations[-1].nodes == 8244
-    assert peak < 12 << 20
+    assert peak < 7.4 * (1 << 20)
+
+
+def test_rewritten_graph_bytes_per_node_are_bounded():
+    # everything the graph holds after rewriting, over its live e-nodes:
+    # 715 bytes with the layout above, 483 now
+    rules = rule_library()
+
+    def rewritten():
+        g = EGraph()
+        g.add_expr(benchmarks.design("comb_mux_add_tree"))
+        apply_rules(g, rules, max_iters=4)
+        return g
+
+    g, held = traced_held(rewritten)
+    assert g.enode_count() == 8244
+    assert held / g.enode_count() < 580
