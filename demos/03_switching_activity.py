@@ -12,9 +12,8 @@ from powersat import (
     choose_representatives,
     generate_stimuli,
     graph_activity,
-    seed_from_design,
-    simulate,
 )
+from powersat.simulate import simulate
 
 name = "seq_reg"
 design = benchmarks.design(name)
@@ -27,7 +26,7 @@ for port, spec in sorted(cfg.inputs.items()):
 stimuli = generate_stimuli(cfg, design)
 g = EGraph()
 g.add_expr(design)
-waves = simulate(g, choose_representatives(g, seed_from_design(g, design)), stimuli)
+waves = simulate(g, choose_representatives(g), stimuli)
 stats = graph_activity(waves)
 
 print("\nmeasured per-class activity:")

@@ -22,9 +22,9 @@ from powersat import (
     rules_by_name,
     seed_from_design,
     selection_cost,
-    simulate,
     solve,
 )
+from powersat.simulate import simulate
 from powersat.stimulus import StimulusConfig
 
 design = benchmarks.design("fig1_op_isolate")
@@ -34,12 +34,12 @@ g = EGraph()
 g.add_expr(design)
 apply_rules(g, rules_by_name(None), max_iters=8)
 
-# the design's own selection: simulation starts from it, extraction must beat it
-seed = seed_from_design(g, design)
+# every class is simulated through one member: every member computes its waveform
 stimuli = generate_stimuli(cfg, design)
-rep = choose_representatives(g, seed)
-scores = class_scores(g, graph_activity(simulate(g, rep, stimuli)))
+scores = class_scores(g, graph_activity(simulate(g, choose_representatives(g), stimuli)))
 
+# the design's own selection: extraction starts from it and must beat it
+seed = seed_from_design(g, design)
 problem = build_problem(g, scores, incumbent=seed)
 baseline = selection_cost(problem, seed)
 solution = solve(problem)

@@ -134,10 +134,8 @@ def run(args: argparse.Namespace) -> int:
     report_rw = apply_rules(g, rules, max_iters=args.max_iters, max_nodes=args.max_nodes)
     t = lap("rewrite", t)
 
-    # The design's own selection: where simulation starts, and the incumbent.
     # Each phase's products are dropped once the next phase has read them.
-    seed_choice = seed_from_design(g, design)
-    rep = choose_representatives(g, seed_choice)
+    rep = choose_representatives(g)
     stats = graph_activity(class_waveforms(g, rep, stimuli))
     del rep, stimuli
     t = lap("simulate", t)
@@ -146,12 +144,14 @@ def run(args: argparse.Namespace) -> int:
     del stats
     t = lap("score", t)
 
-    problem = build_problem(g, scores, incumbent=seed_choice)
+    # The design's own selection: the incumbent, and the baseline's cost.
+    seed = seed_from_design(g, design)
+    problem = build_problem(g, scores, incumbent=seed)
     del scores
     if args.dump_lp:
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(lp_text(problem))
-    baseline = selection_cost(problem, seed_choice)
+    baseline = selection_cost(problem, seed)
     solution = solve(problem, time_budget=args.time_budget)
     t = lap("extract", t)
 

@@ -378,6 +378,12 @@ class EGraph:
         tag = next((t for m, t in zip(nodes[::2], nodes[1::2]) if m == n), None)
         return "design" if tag is None else self.decode_tag(tag)[1]
 
+    def oldest_member(self, cid: int) -> tuple[int, ENode]:
+        """(tag, member) of the class's lowest provenance tag: the member
+        made first, in its current form."""
+        nodes = self._classes[self.find(cid)].nodes
+        return min(zip(nodes[1::2], nodes[::2]))
+
     def decode_tag(self, tag: int) -> tuple[int, str]:
         """A member's provenance tag as (creation index, rule name). The
         index is in the high bits, so comparing tags compares indices."""

@@ -5,9 +5,11 @@ data input at i-1 when enabled at i-1, the held value otherwise, and 0 at
 cycle 0. A transparent register (Treg) passes its input combinationally while
 enabled, holds while disabled, and reads 0 before its first enable.
 
-Each representative is evaluated over its whole waveform at once by one entry
-of `_OPS`, after the classes it reads. Only a group of classes that reads
-itself through a register is stepped a cycle at a time, with the same table.
+Every member of a class computes the class's waveform, so any one member
+will do. Each class is simulated through its oldest member, which reads only
+classes made before it, even where the class graph has a register loop. So
+every representative is evaluated over its whole waveform at once by one
+entry of `_OPS`, after the classes it reads; nothing steps a cycle at a time.
 
 Class waveforms are stored in their width's `word_dtype`, 1 to 8 bytes a
 cycle. Operators compute in uint64 (Python ints past 64 bits), and a result
@@ -18,19 +20,12 @@ counts them in batches of at most `_ACTIVITY_BYTES`, so its working set does
 not grow with the cycle count either.
 """
 
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .egraph import (
-    EGraph,
-    ENode,
-    closes_cycle,
-    combinational_edges,
-    strongly_connected,
-)
+from .egraph import EGraph, ENode
 from .stimulus import Waveform, word_dtype
 
 
@@ -38,56 +33,17 @@ class SimulationError(Exception):
     pass
 
 
-def choose_representatives(
-    g: EGraph, seed_choice: dict[int, ENode] | None = None
-) -> dict[int, ENode]:
-    """Pick one member per class so the induced graph is combinationally acyclic.
+def choose_representatives(g: EGraph) -> dict[int, ENode]:
+    """Each class's oldest member (`EGraph.oldest_member`), classes in the
+    order those members were made.
 
-    Starts from `seed_choice`, an acyclic selection such as the design's own
-    (`extract.seed_from_design`), so the statistics favor the designer's
-    structure. The other classes are filled as if in rounds that visit them
-    by id, each taking its first member by node key whose combinational
-    children are filled. Seeds are round 0; a reg member, which reads state,
-    is due in round 1, any other in max(1, round(c) + (c >= cid) over its
-    child classes c). A class's round is its members' least due round, taken
-    children first over `EGraph.class_order`; a cyclic component is swept
-    once per class it fills, a round resting on classes of smaller
-    (round, id), and once more to confirm the picks.
+    A class's maker reads only classes made before it, and a rebuild gives a
+    re-canonicalized form the earliest tag of the forms that meet in it, so
+    each representative reads only classes listed before its own: no loop of
+    representatives exists, through a register or not.
     """
-    rep: dict[int, ENode] = dict(seed_choice or {})
-    members = g.sorted_members()
-    find = g.find
-    rnd: dict[int, float] = dict.fromkeys(rep, 0)
-    for comp, cyclic in g.class_order():
-        todo = [cid for cid in comp if cid not in rep]
-        rnd.update(dict.fromkeys(todo, math.inf))
-        for _ in range(len(todo) + 1 if cyclic else 1):
-            fell = False
-            for cid in todo:
-                least = math.inf
-                for n in members[cid]:
-                    due = 1
-                    if n.kind != "reg":
-                        for c in map(find, n.children):
-                            r = rnd[c] + (c >= cid)
-                            if r > due:
-                                due = r
-                                if due >= least:
-                                    break  # this member cannot be picked
-                    if due < least:
-                        least = due
-                        rep[cid] = n
-                        if due == 1:
-                            break
-                if least < rnd[cid]:
-                    rnd[cid] = least
-                    fell = True
-            if not fell:
-                break
-    stuck = sorted(cid for cid, r in rnd.items() if r == math.inf)
-    if stuck:
-        raise SimulationError(f"no acyclic representative choice for classes {stuck}")
-    return rep
+    made = sorted((g.oldest_member(cid), cid) for cid in g.class_ids())
+    return {cid: n for (_, n), cid in made}
 
 
 # -- operator semantics --------------------------------------------------------
@@ -189,51 +145,14 @@ def _fit(values: np.ndarray, width: int, cid: int) -> np.ndarray:
     return values.astype(word_dtype(width), copy=False)
 
 
-def _combinational_order(g: EGraph, rep: dict[int, ENode], group: list[int]) -> list[int]:
-    """Members of a register loop, each after the members it reads this cycle."""
-    reads = combinational_edges(g, {cid: rep[cid] for cid in group})
-    parts = strongly_connected(reads)
-    if any(closes_cycle(part, reads) for part in parts):
-        raise SimulationError("combinational cycle among chosen representatives")
-    return [part[0] for part in parts]
-
-
-def _step_loop(
-    g: EGraph, rep: dict[int, ENode], group: list[int], waves: dict[int, np.ndarray],
-    cycles: int,
-) -> list[int]:
-    """Simulate a group of classes that reads itself through a register, one
-    cycle at a time: registers by their update rule, everything else by `_OPS`
-    on the cycle's samples. Returns the group in the order it was stepped."""
-    order = _combinational_order(g, rep, group)
-    for cid in order:
-        waves[cid] = np.zeros(cycles, dtype=word_dtype(rep[cid].width))
-    plan = []
-    for cid in order:
-        n = rep[cid]
-        children = [waves[g.find(c)] for c in n.children]
-        plan.append((cid, n, children, [g.class_width(c) for c in n.children], waves[cid]))
-    for i in range(cycles):
-        for cid, n, ch, widths, own in plan:
-            if n.kind == "reg":
-                v = (ch[0][i - 1] if ch[1][i - 1] else own[i - 1]) if i else 0
-            elif n.kind == "treg":
-                v = ch[0][i] if ch[1][i] else (own[i - 1] if i else 0)
-            else:
-                v = _apply(n, [c[i:i + 1] for c in ch], widths)[0]
-            if int(v) >> n.width:
-                raise SimulationError(f"value {int(v)} overflows width of class {cid}")
-            own[i] = v
-    return order
-
-
 def class_waveforms(
     g: EGraph, rep: dict[int, ENode], stimuli: dict[str, Waveform]
 ) -> Iterator[tuple[int, Waveform]]:
-    """(class, waveform) of every class under its representative, each class
-    after the classes it reads. Every value is checked against the class
-    width. A class's array is dropped here once every class reading it has
-    been simulated, so only the caller keeps what it has been given."""
+    """(class, waveform) of every class under its representative, in the
+    order of `rep`, which must list each class after the classes it reads.
+    Every value is checked against the class width. A class's array is
+    dropped here once every class reading it has been simulated, so only
+    the caller keeps what it has been given."""
     cycle_counts = {w.cycles for w in stimuli.values()}
     if len(cycle_counts) != 1:
         raise SimulationError(f"stimuli disagree on cycle count: {sorted(cycle_counts)}")
@@ -246,26 +165,17 @@ def class_waveforms(
         for c in set(r):
             readers[c] += 1
     waves: dict[int, np.ndarray] = {}
-    # A representative edge is a class-graph edge, so only a cyclic class
-    # component can hold a loop of representatives.
-    groups = (group for comp, cyclic in g.class_order()
-              for group in (strongly_connected({c: reads[c] for c in comp if c in rep})
-                            if cyclic else [[c] for c in comp if c in rep]))
-    for group in groups:
-        if closes_cycle(group, reads):
-            group = _step_loop(g, rep, group, waves, cycles)
-        else:
-            cid = group[0]
-            n = rep[cid]
-            out = _node_wave(n, [waves[c] for c in reads[cid]],
-                             [g.class_width(c) for c in reads[cid]], stimuli, cycles)
-            waves[cid] = out if n.kind in ("var", "const") else _fit(out, n.width, cid)
-        for cid in group:
-            yield cid, Waveform(rep[cid].width, waves[cid])
-        for cid in group:
-            for c in set(reads[cid]):
-                readers[c] -= 1
-        for c in {c for cid in group for c in (cid, *reads[cid])}:
+    for cid, n in rep.items():
+        r = reads[cid]
+        late = next((c for c in r if c not in waves), None)
+        if late is not None:
+            raise SimulationError(f"class {cid} is listed before class {late}, which it reads")
+        out = _node_wave(n, [waves[c] for c in r], [g.class_width(c) for c in r], stimuli, cycles)
+        waves[cid] = out if n.kind in ("var", "const") else _fit(out, n.width, cid)
+        yield cid, Waveform(n.width, waves[cid])
+        for c in set(r):
+            readers[c] -= 1
+        for c in {cid, *r}:
             if not readers[c]:
                 del waves[c]
 
@@ -385,10 +295,7 @@ def activity_csv(stats: dict[int, ActivityStats]) -> str:
 
 
 def class_consistency_mismatches(
-    g: EGraph,
-    rep: dict[int, ENode],
-    waves: dict[int, Waveform],
-    stimuli: dict[str, Waveform],
+    g: EGraph, waves: dict[int, Waveform], stimuli: dict[str, Waveform]
 ) -> list[tuple[int, ENode, int]]:
     """Every member of every class, simulated directly over its child class
     waveforms, must reproduce the class waveform. Returns (class, node,

@@ -5,7 +5,6 @@ from hypothesis import settings
 
 from powersat import benchmarks
 from powersat.egraph import EGraph
-from powersat.extract import seed_from_design
 from powersat.rewrite import apply_rules, rules_by_name
 from powersat.simulate import choose_representatives, simulate
 from powersat.stimulus import generate_stimuli
@@ -24,5 +23,5 @@ def grown_comb():
     g.add_expr(d)
     apply_rules(g, rules_by_name(None), max_iters=4)
     stim = generate_stimuli(benchmarks.stimuli_config("comb_mux_add_tree", "cfg1"), d)
-    waves = simulate(g, choose_representatives(g, seed_from_design(g, d)), stim)
+    waves = simulate(g, choose_representatives(g), stim)
     return d, g, stim, waves

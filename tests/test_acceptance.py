@@ -69,7 +69,7 @@ def run_pipeline(name, cfgname):
     apply_rules(g, rules_by_name(None), max_iters=PIPELINE_ITERS.get(name, 8))
     stimuli = generate_stimuli(cfg, design)
     seed = seed_from_design(g, design)
-    rep = choose_representatives(g, seed)
+    rep = choose_representatives(g)
     scores = class_scores(g, graph_activity(simulate(g, rep, stimuli)))
     problem = build_problem(g, scores, incumbent=seed)
     baseline = selection_cost(problem, seed)
@@ -154,9 +154,9 @@ def test_criterion_05_class_consistency():
         stimuli = generate_stimuli(
             StimulusConfig(1000, cfg.seed, cfg.inputs), design
         )
-        rep = choose_representatives(g, seed_from_design(g, design))
+        rep = choose_representatives(g)
         waves = simulate(g, rep, stimuli)
-        assert class_consistency_mismatches(g, rep, waves, stimuli) == []
+        assert class_consistency_mismatches(g, waves, stimuli) == []
     assert time.perf_counter() - t0 < 30.0
 
 

@@ -311,7 +311,7 @@ def test_time_budget_falls_back_to_incumbent():
         "inputs": {p: {"toggle_rate": 0.5} for p, _ in d.inputs},
     })
     stim = generate_stimuli(cfg, d)
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     scores = class_scores(g, graph_activity(simulate(g, rep, stim)))
     incumbent = seed_from_design(g, d)
     problem = build_problem(g, scores, incumbent=incumbent)
@@ -334,7 +334,7 @@ def test_budget_spent_during_set_up_returns_the_seed_unproven():
     g.add_expr(d)
     apply_rules(g, rules_by_name(None), max_iters=8)
     cfg = StimulusConfig.from_json(benchmarks.stimuli_path("seq_reg", "cfg1").read_text())
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     scores = class_scores(g, graph_activity(simulate(g, rep, generate_stimuli(cfg, d))))
     problem = build_problem(g, scores, incumbent=seed_from_design(g, d))
     seeded = _closure(g, problem.incumbent, problem.roots)
@@ -415,7 +415,7 @@ def test_selection_deeper_than_the_recursion_limit():
         "inputs": {p: {"toggle_rate": 0.5} for p, _ in d.inputs},
     })
     stim = generate_stimuli(cfg, d)
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     scores = class_scores(g, graph_activity(simulate(g, rep, stim)))
     incumbent = seed_from_design(g, d)
     problem = build_problem(g, scores, incumbent=incumbent)
@@ -475,7 +475,7 @@ def test_reconstruct_gated_multiplier():
         "inputs": {p: {"toggle_rate": 0.1 if p == "s" else 0.5} for p, _ in d.inputs},
     })
     stim = generate_stimuli(cfg, d)
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     scores = class_scores(g, graph_activity(simulate(g, rep, stim)))
     problem = build_problem(g, scores, incumbent=seed_from_design(g, d))
     sol = solve(problem)
@@ -554,7 +554,7 @@ def test_objective_is_the_sum_of_its_own_selection(cfg):
     g.add_expr(d)
     apply_rules(g, rules_by_name(None), max_iters=2)
     stim = generate_stimuli(benchmarks.stimuli_config("pipe_mux_add_tree", cfg), d)
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     scores = class_scores(g, graph_activity(simulate(g, rep, stim)))
     problem = build_problem(g, scores, incumbent=seed_from_design(g, d))
     seed = _closure(g, problem.incumbent, problem.roots)
@@ -573,8 +573,9 @@ def test_objective_is_the_sum_of_its_own_selection(cfg):
 # digest of the branch and bound on corpus cells (8 rewrite iterations, 2 for
 # add-trees). The digest is the sha256 of the report's selection as JSON
 # [[class, node], ...]. Each cell reads (design, config, objective, nodes
-# explored when twin rows were still searched, nodes explored, start source,
-# start objective, root bound, digest); the test ids carry the first four. A
+# explored with twin rows searched, measured with twin skipping disabled
+# under the present decision order, nodes explored, start source, start
+# objective, root bound, digest); the test ids carry the first four. A
 # solver change that keeps the search tree keeps every field; one that prunes
 # more (as skipping twin rows, the forced-set, exclusive-descendant bound and
 # the greedy start did) changes the node count and must keep the objective,
@@ -586,37 +587,37 @@ def test_objective_is_the_sum_of_its_own_selection(cfg):
 # optimum's cost (fig1's differs from it in the last digit); ties are still
 # searched, so the digest stays.
 SEARCH_TREE_PINS = [
-    ("fig1_op_isolate", "cfg1", 124.18234117058527, 6045, 431,
+    ("fig1_op_isolate", "cfg1", 124.18234117058527, 1794, 431,
      "greedy", 124.18234117058529, 13.019009504752376,
      "7a18c3ba979f488fa08efe22d7e9fc44ceff9a7bc9408250ebebdc47e9ecb5f8"),
-    ("fig1_op_isolate", "cfg2", 124.18234117058527, 6045, 431,
+    ("fig1_op_isolate", "cfg2", 124.18234117058527, 1794, 431,
      "greedy", 124.18234117058529, 13.019009504752376,
      "7a18c3ba979f488fa08efe22d7e9fc44ceff9a7bc9408250ebebdc47e9ecb5f8"),
-    ("fig1_op_isolate", "cfg3", 151.27434550608635, 3218, 489,
+    ("fig1_op_isolate", "cfg3", 151.27434550608635, 2049, 489,
      "greedy", 151.27434550608638, 21.46335667833917,
      "469d1d569b8ac7cf0a435135c31a565a975749944fc26dcd94534d9ed36f859f"),
-    ("fig1_op_isolate", "cfg4", 151.27434550608635, 3218, 489,
+    ("fig1_op_isolate", "cfg4", 151.27434550608635, 2049, 489,
      "greedy", 151.27434550608638, 21.46335667833917,
      "469d1d569b8ac7cf0a435135c31a565a975749944fc26dcd94534d9ed36f859f"),
-    ("seq_reg", "cfg1", 7.560780390195099, 56, 17,
+    ("seq_reg", "cfg1", 7.560780390195099, 21, 17,
      "greedy", 7.560780390195098, 3.278972819743205,
      "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
-    ("seq_reg", "cfg2", 12.3818575954644, 63, 17,
+    ("seq_reg", "cfg2", 12.3818575954644, 21, 17,
      "greedy", 12.3818575954644, 7.668500917125229,
      "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
-    ("seq_reg", "cfg3", 12.3818575954644, 63, 17,
+    ("seq_reg", "cfg3", 12.3818575954644, 21, 17,
      "greedy", 12.3818575954644, 7.668500917125229,
      "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
-    ("seq_reg", "cfg4", 7.560780390195099, 56, 17,
+    ("seq_reg", "cfg4", 7.560780390195099, 21, 17,
      "greedy", 7.560780390195098, 3.278972819743205,
      "48eccb9d300fbec60dddce008ecbaab7e8e102d5682964291ea94806d99caff4"),
-    ("dual_op_alu", "cfg3", 66.01579956644991, 21998, 1249,
+    ("dual_op_alu", "cfg3", 66.01579956644991, 20079, 1249,
      "design", 66.0157995664499, 10.363806903451726,
      "e5c2b5d57b3856512ec59081d763bf9c0da5bde2a8df07923e7da597efb127f5"),
-    ("dual_op_alu", "cfg4", 66.01579956644991, 21998, 1249,
+    ("dual_op_alu", "cfg4", 66.01579956644991, 20079, 1249,
      "design", 66.0157995664499, 10.363806903451726,
      "e5c2b5d57b3856512ec59081d763bf9c0da5bde2a8df07923e7da597efb127f5"),
-    ("comb_mux_add_tree", "cfg3", 101.37006003001501, 41479, 3477,
+    ("comb_mux_add_tree", "cfg3", 101.37006003001501, 25449, 3477,
      "design", 101.37006003001501, 13.817783891945972,
      "9d563fe2241642ad9a1eebef30b3b91dfd1d69ca14ae99801aae1f703c81908e"),
 ]

@@ -2,7 +2,6 @@ import pytest
 
 from powersat.egraph import EGraph, ENode
 from powersat.ir import parse_design
-from powersat.extract import seed_from_design
 from powersat.power import AreaModel, area, class_scores, design_power, node_power
 from powersat.rewrite import apply_rules, rules_by_name
 from powersat.simulate import ActivityStats, choose_representatives, graph_activity, simulate
@@ -185,7 +184,7 @@ def test_gated_multiplier_scores_lower_at_low_select_activity():
         "inputs": {p: {"toggle_rate": 0.1 if p == "s" else 0.5} for p, _ in d.inputs},
     })
     stim = generate_stimuli(cfg, d)
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     stats = graph_activity(simulate(g, rep, stim))
 
     gated_mul = None

@@ -28,7 +28,14 @@ from powersat.simulate import (
 )
 from powersat.stimulus import Waveform, generate_stimuli, word_dtype
 
-from _util import EVERY_KIND, provenance_tags, random_design, random_stimuli, traced_peak
+from _util import (
+    EVERY_KIND,
+    provenance_tags,
+    random_design,
+    random_egraph,
+    random_stimuli,
+    traced_peak,
+)
 
 FIG1 = """
 (module fig1
@@ -46,14 +53,14 @@ def seeded(text):
 
 def run_design(text, **stim):
     g, d, roots = seeded(text)
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     waves = {p: Waveform(dict(d.inputs)[p], list(v)) for p, v in stim.items()}
     return simulate(g, rep, waves), g, roots
 
 
 def test_representatives_of_unrewritten_graph_are_the_design():
     g, d, _ = seeded(FIG1)
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     origin = g.design_enodes(d)
     assert set(rep) == set(g.class_ids())
     for cid, n in rep.items():
@@ -66,7 +73,7 @@ def test_design_member_preferred_over_equivalent():
     one = g.add(ENode("const", (), 4, value=1))
     g.merge(roots[0], g.add(ENode("shl", (xcls, one), 4)))
     g.rebuild()
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     assert rep[g.find(roots[0])].kind == "add"
 
 
@@ -122,14 +129,14 @@ def test_rep_tiles_the_operand():
 
 def test_simulation_needs_every_input():
     g, d, _ = seeded(FIG1)
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     with pytest.raises(SimulationError):
         simulate(g, rep, {"s": Waveform(1, [0, 1])})
 
 
 def test_simulation_rejects_ragged_cycle_counts():
     g, d, _ = seeded("(module m (input a 4) (input en 1) (output q (reg a en)))")
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     with pytest.raises(SimulationError):
         simulate(g, rep, {"a": Waveform(4, [0, 1]), "en": Waveform(1, [1])})
 
@@ -177,7 +184,7 @@ def test_width_safety_on_random_graphs():
         d = random_design(rng)
         g = EGraph()
         g.add_expr(d)
-        rep = choose_representatives(g, seed_from_design(g, d))
+        rep = choose_representatives(g)
         waves = simulate(g, rep, random_stimuli(rng, d, 16))
         for cid, w in waves.items():
             assert all(0 <= v < (1 << w.width) for v in w.values)
@@ -187,11 +194,11 @@ def test_class_consistency_after_rewriting():
     g, d, _ = seeded(FIG1)
     apply_rules(g, rules_by_name(["gate-right", "propagate-mask", "combine-masks"]),
                 max_iters=3)
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     rng = random.Random(4)
     stim = random_stimuli(rng, d, 64)
     waves = simulate(g, rep, stim)
-    assert class_consistency_mismatches(g, rep, waves, stim) == []
+    assert class_consistency_mismatches(g, waves, stim) == []
 
 
 @settings(max_examples=60)
@@ -202,7 +209,7 @@ def test_graph_simulation_matches_the_scalar_oracle(seed, cycles):
     g = EGraph()
     g.add_expr(d)
     stim = random_stimuli(rng, d, cycles)
-    waves = simulate(g, choose_representatives(g, seed_from_design(g, d)), stim)
+    waves = simulate(g, choose_representatives(g), stim)
     _, values = simulate_design(d, stim)
     for idx, cid in enumerate(g.design_classes(d)):
         assert waves[g.find(cid)].values == values[idx], d.nodes[idx]
@@ -220,23 +227,18 @@ def accumulator(width=4):
     return g, g.find(q), g.find(total)
 
 
-def test_register_loop_is_stepped_per_cycle():
-    g, q, total = accumulator()
-    rep = choose_representatives(g)
-    assert rep[q].kind == "reg"  # the register reads its own class through the add
-    waves = simulate(g, rep, {"a": Waveform(4, [1, 2, 3, 4, 5, 9]),
-                              "en": Waveform(1, [1, 1, 0, 1, 1, 1]),
-                              "q": Waveform(4, [0] * 6)})
-    assert waves[q].values == [0, 1, 3, 3, 7, 12]
-    assert waves[total].values == [1, 3, 6, 7, 12, 5]  # wraps at 4 bits
-
-
 def test_combinational_loop_is_rejected():
+    # A class listed before a class it reads is rejected, so a loop of
+    # representatives, which no order can list, is too.
     g, q, total = accumulator()
+    stim = {"a": Waveform(4, [1]), "en": Waveform(1, [1]), "q": Waveform(4, [0])}
+    backwards = dict(reversed(choose_representatives(g).items()))
+    with pytest.raises(SimulationError, match=f"class {total} is listed before class {q},"):
+        simulate(g, backwards, stim)
     rep = choose_representatives(g)
     rep[q] = ENode("and", (total, total), 4)
-    with pytest.raises(SimulationError, match="combinational cycle"):
-        simulate(g, rep, {"a": Waveform(4, [1]), "en": Waveform(1, [1]), "q": Waveform(4, [0])})
+    with pytest.raises(SimulationError, match=f"class {q} is listed before class {total},"):
+        simulate(g, rep, stim)
 
 
 def test_words_wider_than_64_bits():
@@ -264,7 +266,7 @@ def test_design_choice_is_acyclic_after_rewriting(text):
     g, d, _ = seeded(text)
     apply_rules(g, rules_by_name(None), max_iters=1)
     origin = g.design_enodes(d)
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     seed = seed_from_design(g, d)
     assert {cid: rep[cid] for cid in seed} == seed
     assert all(n in origin[cid] for cid, n in seed.items())
@@ -303,28 +305,12 @@ def test_narrow_storage_matches_the_oracle_at_dtype_boundaries(width):
     g = EGraph()
     g.add_expr(d)
     stim = boundary_stimuli(width, ("a", "b", "c"))
-    waves = simulate(g, choose_representatives(g, seed_from_design(g, d)), stim)
+    waves = simulate(g, choose_representatives(g), stim)
     _, values = simulate_design(d, stim)
     for idx, cid in enumerate(g.design_classes(d)):
         assert waves[g.find(cid)].values == values[idx], d.nodes[idx]
     for cid, w in waves.items():
         assert w.array.dtype == word_dtype(g.class_width(cid)), (cid, w.width)
-
-
-@pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
-def test_register_loop_writes_narrow_words(width):
-    g, q, total = accumulator(width)
-    stim = boundary_stimuli(width, ("a",))
-    stim["q"] = Waveform(width, [0] * stim["a"].cycles)
-    waves = simulate(g, choose_representatives(g), stim)
-    acc, expect_q, expect_total = 0, [], []
-    for a, en in zip(stim["a"].values, stim["en"].values):
-        expect_q.append(acc)
-        expect_total.append((acc + a) % (1 << width))
-        acc = expect_total[-1] if en else acc
-    assert waves[q].values == expect_q
-    assert waves[total].values == expect_total
-    assert waves[q].array.dtype == waves[total].array.dtype == word_dtype(width)
 
 
 def test_class_waveforms_take_one_byte_a_cycle_on_the_grown_add_tree(grown_comb):
@@ -369,14 +355,14 @@ def test_streamed_activity_on_every_corpus_cell(name, cfg):
     apply_rules(g, rules_by_name(None), max_iters=2 if "add_tree" in name else 8)
     stim = generate_stimuli(benchmarks.stimuli_config(name, cfg), d)
     assert_streamed_activity_is_whole_graph_activity(
-        g, choose_representatives(g, seed_from_design(g, d)), stim)
+        g, choose_representatives(g), stim)
 
 
 def looped(rng, d):
     """The graph of `d` with some input ports merged with a register of a
-    class of their width. Representatives chosen without the design take
-    the register (it sorts before the port), so a port's readers can read
-    themselves through it and are stepped a cycle at a time."""
+    class of their width, so the class graph can loop through a register.
+    A port's oldest member is the port itself, so no representative loop
+    forms, and the port's stimulus is its class's waveform."""
     g = EGraph()
     g.add_expr(d)
     classes = g.class_ids()
@@ -402,7 +388,8 @@ def test_streamed_activity_on_random_register_loops(seed, cycles):
 
 
 def test_streamed_activity_steps_register_loops():
-    # the accumulator's register and add read each other: one stepped group
+    # the accumulator's class graph loops through its register; the oldest
+    # members, the port q and the add, do not, so each is simulated whole
     g, q, total = accumulator()
     stim = {"a": Waveform(4, [1, 2, 3, 4, 5, 9]), "en": Waveform(1, [1, 1, 0, 1, 1, 1]),
             "q": Waveform(4, [0] * 6)}
@@ -413,7 +400,7 @@ def test_streamed_activity_memory_is_bounded(grown_comb):
     # the 2,419 class waveforms take 4.8 MB; simulated whole and then
     # counted 256 a batch they peaked at 9.2 MB (tracemalloc)
     d, g, stim, _ = grown_comb
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     stats, peak = traced_peak(lambda: graph_activity(class_waveforms(g, rep, stim)))
     assert len(stats) == 2419
     assert peak < 5 << 20
@@ -436,22 +423,22 @@ def test_activity_batches_are_bounded_in_bytes():
 
 
 # Representative pins: sha256 of the sorted (class, rendered representative)
-# pairs of `choose_representatives(g, seed_from_design(g, d))`, recorded from
-# a fill that ran its rounds one at a time. Scores cannot catch a changed
-# fill: every member of a class simulates to the class's waveform.
+# pairs of `choose_representatives(g)`, each class's oldest member. Scores
+# cannot catch a changed choice: every member of a class simulates to the
+# class's waveform.
 CORPUS_REPRESENTATIVES = [
-    ("comb_mux_add_tree", 4, "7d96439ec5526c1e2122bfd7dbb74a6fe25ccf37b4e12e9c80cdc834a8225c8a"),
-    ("dual_op_alu", 8, "12f86c63022729eca6139136915b00ad9205c43b54c2cccd5e10fe312cfb491e"),
-    ("fig1_op_isolate", 8, "4a50f3a6d7b084231610b6dc95d203df6f38b437e412272df210dfff9656f31e"),
-    ("pipe_mux_add_tree", 4, "747095679d8bfb86b9110d1ce2ba0b87fa65a601fec76bfdc053a2b89a72b620"),
-    ("seq_reg", 8, "d5de696d41be390a8c22ca5c7a497ccb7c807f4247e113847cd5184ddfed4c62"),
+    ("comb_mux_add_tree", 4, "2ff02f2ea22434643117e3325db1a9ed1f5e84d5647b4ab72077f03378c9bf1c"),
+    ("dual_op_alu", 8, "48c213242f42f849ec475d62e1fe1e9225c5ae5eb9d881c8196faf7ed0d02d1a"),
+    ("fig1_op_isolate", 8, "e80c798a375a64f3b136bd9cf234d9ed383491bbb8411c7d3d7fa218447d36af"),
+    ("pipe_mux_add_tree", 4, "60b1e7203245a30ce648ce38aceb4b2895ba8d6b940e66a41c6d82fe13fe36c0"),
+    ("seq_reg", 8, "f7d2976f0fc22d3841a52466a6e910b46737c1f32fdf565694e71fecb402b9d9"),
 ]
 # The draws of test_rewrite.MIXED_SATURATION, at 2 iterations.
 MIXED_REPRESENTATIVES = [
     (0, "6b9a55e81eeb4d183d2ad33c8faec8350dbb769e2b1ce984cfebf9edfe8149df"),
     (1, "032540388515c8ef050e5ac84dbe39d28b62539b4452ebeb3fa9738e0e20d7b7"),
     (2, "5ee5ae6f565886434370267e6f26fe1eb7cedb22d202440607cc4508730e8d96"),
-    (3, "4663f0bffd34a6008e53c3f94662cebbf35d374d8f9a665c3df5518cf524ff3b"),
+    (3, "a4deeea4d4e58fa2cd33bdc04eb414048579fdf96b9dd5cbeaee0d85f33d3fe6"),
     (4, "cf18d285fc3d2f62dece4e3cb658f1c61c4eb08469729ac352a623501f0eca4c"),
 ]
 
@@ -460,7 +447,7 @@ def representative_digest(d, iters):
     g = EGraph()
     g.add_expr(d)
     apply_rules(g, rules_by_name(None), max_iters=iters)
-    rep = choose_representatives(g, seed_from_design(g, d))
+    rep = choose_representatives(g)
     return hashlib.sha256(repr(sorted((cid, g.render(n)) for cid, n in rep.items()))
                           .encode()).hexdigest()
 
@@ -474,3 +461,53 @@ def test_corpus_representatives_are_pinned(name, iters, digest):
 def test_mixed_representatives_are_pinned(draw, digest):
     d = random_design(random.Random(f"mixed/{draw}"), max_nodes=24, kinds=EVERY_KIND)
     assert representative_digest(d, 2) == digest
+
+
+def assert_oldest_members_in_made_order(g):
+    """Each representative is its class's lowest-tag member, and each class
+    is listed after every class its representative reads, register edges
+    included."""
+    tags = provenance_tags(g)
+    rep = choose_representatives(g)
+    assert sorted(rep) == g.class_ids()
+    listed = set()
+    for cid, n in rep.items():
+        assert tags[n] == min(tags[m] for m in g.nodes_of(cid)), (cid, n)
+        assert {g.find(c) for c in n.children} <= listed, (cid, n)
+        listed.add(cid)
+    return rep
+
+
+@pytest.mark.parametrize("name,iters", [(n, i) for n, i, _ in CORPUS_REPRESENTATIVES])
+def test_corpus_representatives_are_oldest_members_in_made_order(name, iters):
+    g = EGraph()
+    g.add_expr(benchmarks.design(name))
+    apply_rules(g, rules_by_name(None), max_iters=iters)
+    assert_oldest_members_in_made_order(g)
+
+
+@pytest.mark.parametrize("draw", [draw for draw, _ in MIXED_REPRESENTATIVES])
+def test_mixed_representatives_are_oldest_members_in_made_order(draw):
+    g = EGraph()
+    g.add_expr(random_design(random.Random(f"mixed/{draw}"), max_nodes=24, kinds=EVERY_KIND))
+    apply_rules(g, rules_by_name(None), max_iters=2)
+    assert_oldest_members_in_made_order(g)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_egraph_representatives_are_oldest_members_in_made_order(seed):
+    # the merges often close cycles of the class graph, through registers too
+    rng = random.Random(seed)
+    g, _, _ = random_egraph(rng)
+    rep = assert_oldest_members_in_made_order(g)
+    ports = {n.port: n.width for cid in g.class_ids() for n in g.nodes_of(cid) if n.kind == "var"}
+    stim = {p: Waveform(w, [rng.randrange(1 << w) for _ in range(6)]) for p, w in ports.items()}
+    assert list(simulate(g, rep, stim)) == list(rep)
+
+
+def test_the_simulate_module_is_importable_by_name():
+    # a package attribute named `simulate` would shadow the module here
+    import powersat.simulate as S
+
+    assert S.choose_representatives is choose_representatives
