@@ -75,7 +75,7 @@ def design(name: str) -> Design:
 
 
 def stimuli_config(name: str, cfg: str) -> StimulusConfig:
-    return StimulusConfig.from_path(stimuli_path(name, cfg))
+    return StimulusConfig.from_json(stimuli_path(name, cfg).read_text(encoding="utf-8"))
 
 
 def _make_config(name: str, cfg: str) -> dict:

@@ -60,20 +60,6 @@ def enode_of(design: Design, idx: int, classes: list[int]) -> ENode:
     return ENode(n.kind, tuple(classes[c] for c in n.children), n.width, n.port, n.value, n.count)
 
 
-class _SortedMembers(dict):
-    """Class id -> the class's members sorted by node key, filled on first use."""
-
-    __slots__ = ("classes",)
-
-    def __init__(self, classes: dict[int, "_EClass"]):
-        super().__init__()
-        self.classes = classes
-
-    def __missing__(self, cid: int) -> list[ENode]:
-        hit = self[cid] = sorted(self.classes[cid].nodes[::2], key=node_key)
-        return hit
-
-
 class _EClass:
     __slots__ = ("nodes", "parents")
 
@@ -110,7 +96,7 @@ class EGraph:
         # Bumped by any structural change; equal before/after means saturation.
         self.version = 0
         # Caches of the current version, dropped by every change.
-        self._members: _SortedMembers | None = None
+        self._members: dict[int, list[ENode]] | None = None
         self._order: list[tuple[list[int], bool]] | None = None
         # Rule names by index, as packed into provenance tags.
         self._rule_names: list[str] = []
@@ -343,9 +329,11 @@ class EGraph:
 
     def sorted_members(self) -> dict[int, list[ENode]]:
         """Canonical class id -> its members sorted by node key (what
-        `nodes_of` returns); valid until the graph next changes."""
+        `nodes_of` returns), built whole in one pass; valid until the graph
+        next changes."""
         if self._members is None:
-            self._members = _SortedMembers(self._classes)
+            self._members = {cid: sorted(cls.nodes[::2], key=node_key)
+                             for cid, cls in self._classes.items()}
         return self._members
 
     def class_order(self) -> list[tuple[list[int], bool]]:

@@ -197,18 +197,12 @@ def _block_outputs(d: Design, words: dict, shape: tuple[int, int]) -> dict[str, 
     return {p: values[idx] for p, idx in d.outputs}
 
 
-def exhaustive_check(
-    d1: Design, d2: Design, max_cycles: int, max_width: int | None = None
-) -> Mismatch | None:
+def exhaustive_check(d1: Design, d2: Design, max_cycles: int) -> Mismatch | None:
     """Compare two designs on every possible input stream of max_cycles cycles.
 
     The enumeration bound is (total input bits) * max_cycles <= 24."""
     if d1.signature() != d2.signature():
         raise EquivError("port signatures differ")
-    if max_width is not None:
-        wide = [p for p, w in d1.inputs if w > max_width]
-        if wide:
-            raise EquivError(f"ports wider than {max_width}: {', '.join(wide)}")
     total_bits = sum(w for _, w in d1.inputs) * max_cycles
     if total_bits > 24:
         raise EquivError(f"enumeration bound exceeded: {total_bits} stream bits > 24")
@@ -416,10 +410,15 @@ def rule_designs(rule: Rewrite, widths: dict[str, int], kinds: Subst) -> tuple[D
     return designs[0], designs[1]
 
 
-def sample_rule_instance(rule: Rewrite, rng: random.Random, max_width: int = 4):
+# A fuzz trial draws each width from 1 to this and runs this many cycles.
+_FUZZ_MAX_WIDTH = 4
+_FUZZ_CYCLES = 8
+
+
+def sample_rule_instance(rule: Rewrite, rng: random.Random):
     """Random operator choices and widths for one fuzz trial."""
     kinds: Subst = {kv: rng.choice(family) for kv, family in rule_kind_vars(rule).items()}
-    widths = solve_rule_widths(rule, kinds, lambda _root: rng.randint(1, max_width))
+    widths = solve_rule_widths(rule, kinds, lambda _root: rng.randint(1, _FUZZ_MAX_WIDTH))
     return rule_designs(rule, widths, kinds), widths, kinds
 
 
@@ -472,19 +471,13 @@ def _shrink(rule: Rewrite, kinds: dict, found: Counterexample) -> Counterexample
     return found
 
 
-def fuzz_rule(
-    rule: Rewrite,
-    trials: int = 1000,
-    seed: int = 0,
-    max_width: int = 4,
-    cycles: int = 8,
-) -> FuzzResult:
+def fuzz_rule(rule: Rewrite, trials: int = 1000, seed: int = 0) -> FuzzResult:
     """Random instantiations of both rule sides cosimulated on random streams.
     A counterexample is shrunk toward width 1 and the fewest cycles."""
     rng = random.Random(seed)
     for t in range(1, trials + 1):
-        (lhs, rhs), widths, kinds = sample_rule_instance(rule, rng, max_width)
-        stimuli = _random_stimuli(lhs, rng, cycles)
+        (lhs, rhs), widths, kinds = sample_rule_instance(rule, rng)
+        stimuli = _random_stimuli(lhs, rng, _FUZZ_CYCLES)
         mm = cosimulate(lhs, rhs, stimuli)
         if mm is not None:
             found = Counterexample(lhs, rhs, widths, dict(kinds), mm)

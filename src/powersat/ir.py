@@ -116,11 +116,8 @@ class Design:
     outputs: list[tuple[str, int]] = field(default_factory=list)
     nodes: list[Node] = field(default_factory=list)
 
-    def output_widths(self) -> list[tuple[str, int]]:
-        return [(name, self.nodes[idx].width) for name, idx in self.outputs]
-
     def signature(self) -> tuple:
-        return (tuple(self.inputs), tuple(self.output_widths()))
+        return (tuple(self.inputs), tuple((name, self.nodes[idx].width) for name, idx in self.outputs))
 
     def validate(self) -> None:
         declared = dict(self.inputs)

@@ -61,10 +61,6 @@ def _is_const_class(g: EGraph, cid: int) -> bool:
     return any(n.kind == "const" for n in g.nodes_of(cid))
 
 
-def area(n: ENode, g: EGraph, model: AreaModel | None = None) -> float:
-    return (model or AreaModel()).area(n, g)
-
-
 def node_power(
     n: ENode,
     g: EGraph,
@@ -75,7 +71,7 @@ def node_power(
     out_class: int,
 ) -> float:
     """Score one e-node of class `out_class` under the graph's activity statistics."""
-    a = area(n, g, model)
+    a = (model or AreaModel()).area(n, g)
     if mode == "area":
         return a
     if mode != "power":
@@ -102,24 +98,14 @@ def class_scores(
 
 
 def design_power(
-    selection,
+    selection: dict[int, ENode],
     g: EGraph,
     stats: dict[int, ActivityStats],
     model: AreaModel | None = None,
     mode: str = "power",
 ) -> float:
-    """Total score of a selection. Accepts a {class: node} mapping or any
-    iterable of (class, node); a node shared by several readers counts once."""
-    if hasattr(selection, "items"):
-        pairs = selection.items()
-    else:
-        pairs = selection
-    seen = set()
+    """Total score of a {class: node} selection, summed in its order."""
     total = 0.0
-    for cid, n in pairs:
-        key = (g.find(cid), n)
-        if key in seen:
-            continue
-        seen.add(key)
+    for cid, n in selection.items():
         total += node_power(n, g, stats, model, mode, out_class=cid)
     return total

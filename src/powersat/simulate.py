@@ -154,6 +154,8 @@ def class_waveforms(
     dropped here once every class reading it has been simulated, so only
     the caller keeps what it has been given."""
     cycle_counts = {w.cycles for w in stimuli.values()}
+    if not cycle_counts:
+        raise SimulationError("no stimuli given, so no cycle count to simulate over")
     if len(cycle_counts) != 1:
         raise SimulationError(f"stimuli disagree on cycle count: {sorted(cycle_counts)}")
     cycles = cycle_counts.pop()

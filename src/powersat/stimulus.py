@@ -219,11 +219,6 @@ class StimulusConfig:
             raise StimulusError(f"stimuli config is not valid JSON: {e}") from None
         return cls.from_dict(raw)
 
-    @classmethod
-    def from_path(cls, path) -> "StimulusConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
-
     def to_dict(self) -> dict:
         inputs = {}
         for port, spec in self.inputs.items():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -23,6 +25,25 @@ def seeded(text):
     d = parse_design(text)
     roots = g.add_expr(d)
     return g, d, roots
+
+
+@pytest.mark.parametrize("n", [
+    ENode("add", (3, 5), 8),
+    ENode("var", (), 4, "x"),
+    ENode("const", (), 4, value=9),
+    ENode("rep", (2,), 8, count=4),
+], ids=["add", "var", "const", "rep"])
+def test_enode_survives_pickle_and_copy(n):
+    # a tuple subclass is rebuilt from __getnewargs__; tuple's own would
+    # hand the whole tuple to ENode.__new__ as `kind` and load a wrong node
+    copies = [copy.copy(n), copy.deepcopy(n)]
+    copies += [pickle.loads(pickle.dumps(n, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    fields = (n.kind, n.children, n.width, n.port, n.value, n.count)
+    for m in copies:
+        assert type(m) is ENode
+        assert (m.kind, m.children, m.width, m.port, m.value, m.count) == fields
+        assert m == n and hash(m) == hash(n)
 
 
 def test_add_expr_fig1_class_count():

@@ -1,10 +1,18 @@
 import pytest
 
+from powersat import benchmarks
 from powersat.egraph import EGraph, ENode
+from powersat.extract import build_problem, seed_from_design, selection_cost
 from powersat.ir import parse_design
-from powersat.power import AreaModel, area, class_scores, design_power, node_power
+from powersat.power import AreaModel, class_scores, design_power, node_power
 from powersat.rewrite import apply_rules, rules_by_name
-from powersat.simulate import ActivityStats, choose_representatives, graph_activity, simulate
+from powersat.simulate import (
+    ActivityStats,
+    choose_representatives,
+    class_waveforms,
+    graph_activity,
+    simulate,
+)
 from powersat.stimulus import StimulusConfig, generate_stimuli
 
 FIG1 = """
@@ -60,19 +68,19 @@ def test_area_basic_formulas():
               "not": 8, "reg": 32, "treg": 32, "rep": 0, "var": 0}
     for kind, want in expect.items():
         _, n = node_of(g, kind)
-        assert area(n, g) == want
+        assert AreaModel().area(n, g) == want
 
 
 def test_clustered_add_cheaper_than_two_adders():
     g, _ = graph_of("(module m (input a 8) (input b 8) (input c 8) (output y (add a b c)))")
     _, add3 = node_of(g, "add3")
-    assert area(add3, g) == 64 < 2 * 40
+    assert AreaModel().area(add3, g) == 64 < 2 * 40
 
 
 def test_constant_multiplier_operand_halves_area():
     g, _ = graph_of("(module m (input a 8) (output y (mul a (const 8 3))))")
     _, mul = node_of(g, "mul")
-    assert area(mul, g) == 192
+    assert AreaModel().area(mul, g) == 192
 
 
 def test_shift_area_depends_on_amount_kind():
@@ -82,7 +90,7 @@ def test_shift_area_depends_on_amount_kind():
       (output y2 (shl a k)))
     """)
     nodes = [n for cid in g.class_ids() for n in g.nodes_of(cid) if n.kind == "shl"]
-    areas = sorted(area(n, g) for n in nodes)
+    areas = sorted(AreaModel().area(n, g) for n in nodes)
     assert areas == [0.0, 72.0]  # constant shift wires; variable shift 3*8*log2(8)
 
 
@@ -92,15 +100,15 @@ def test_width_one_variable_shift_is_free():
     k = g.add(ENode("var", (), 1, "k"))
     sh = ENode("shl", (a, k), 1)
     g.add(sh)
-    assert area(sh, g) == 0.0
+    assert AreaModel().area(sh, g) == 0.0
 
 
 def test_area_multiplier_override():
     g, _ = graph_of("(module m (input a 8) (input b 8) (output y (mul a b)))")
     _, mul = node_of(g, "mul")
-    assert area(mul, g, AreaModel({"mul": 0.25})) == 96
+    assert AreaModel({"mul": 0.25}).area(mul, g) == 96
     _, var = node_of(g, "var")
-    assert area(var, g, AreaModel({"var": 99.0})) == 0.0  # zero base stays zero
+    assert AreaModel({"var": 99.0}).area(var, g) == 0.0  # zero base stays zero
 
 
 def test_node_power_is_equal_weighted_toggle_average():
@@ -157,13 +165,20 @@ def test_scores_scale_linearly_with_rates():
             assert three[cid][n] == pytest.approx(3 * s)
 
 
-def test_design_power_counts_shared_nodes_once():
-    g, _ = graph_of("(module m (input a 8) (output y (add a a)))")
-    cid, add = node_of(g, "add")
-    stats = flat_stats(g, 0.5)
-    once = design_power({cid: add}, g, stats)
-    twice = design_power([(cid, add), (cid, add)], g, stats)
-    assert once == twice == pytest.approx(40 * 0.5)
+@pytest.mark.parametrize("name", benchmarks.corpus_names())
+def test_design_power_of_the_design_seed_is_its_selection_cost(name):
+    # perfbench prices held-out designs with design_power; it must agree
+    # with the extraction objective on the design's own selection
+    d = benchmarks.design(name)
+    g = EGraph()
+    g.add_expr(d)
+    apply_rules(g, rules_by_name(None), max_iters=2)
+    stim = generate_stimuli(benchmarks.stimuli_config(name, "cfg1"), d)
+    stats = graph_activity(class_waveforms(g, choose_representatives(g), stim))
+    seed = seed_from_design(g, d)
+    cost = selection_cost(build_problem(g, class_scores(g, stats)), seed)
+    assert cost > 0
+    assert abs(design_power(seed, g, stats) - cost) <= 1e-9
 
 
 def test_design_power_empty_selection():

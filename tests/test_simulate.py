@@ -141,6 +141,12 @@ def test_simulation_rejects_ragged_cycle_counts():
         simulate(g, rep, {"a": Waveform(4, [0, 1]), "en": Waveform(1, [1])})
 
 
+def test_simulation_without_stimuli_names_the_missing_cycle_count():
+    g, _, _ = seeded("(module m (output y (const 8 3)))")
+    with pytest.raises(SimulationError, match="no stimuli given, so no cycle count"):
+        simulate(g, choose_representatives(g), {})
+
+
 def test_activity_word_average_of_mixed_rates():
     # three bits toggling at 0.25, 0.5 and 0.75 average to exactly 0.5
     stats = activity(Waveform(3, [0, 6, 2, 4, 5]))
