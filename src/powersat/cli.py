@@ -241,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
             EquivError, ValueError, OSError) as e:
         print(f"powersat: error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"powersat: error: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -192,51 +192,28 @@ def simulate(
 
 @dataclass(frozen=True, slots=True)
 class ActivityStats:
-    """Switching statistics of one waveform: its per-bit counts and the word
-    averages scoring reads; the per-bit rates are derived on access."""
+    """Switching statistics of one waveform: its per-bit toggle counts and
+    the word rate scoring reads; the per-bit rates are derived on access."""
 
     width: int
     cycles: int
     toggles: tuple[int, ...]  # per-bit transition counts
-    ones: tuple[int, ...]  # per-bit count of cycles spent at 1
     word_rate: float  # arithmetic mean of the per-bit rates
-    static_prob_mean: float
 
     @property
     def rates(self) -> tuple[float, ...]:
         """Per-bit toggle rates, transitions/(cycles-1)."""
         return tuple(t / (self.cycles - 1) for t in self.toggles)
 
-    @property
-    def static_prob(self) -> tuple[float, ...]:
-        """Per-bit fraction of cycles spent at 1."""
-        return tuple(o / self.cycles for o in self.ones)
 
-
-def _bit_counts(rows: np.ndarray, width: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Per-row, per-bit toggle and one counts of a (waveforms, cycles) matrix
-    in the width's word dtype."""
+def _bit_toggles(rows: np.ndarray, width: int) -> list[list[int]]:
+    """Per-row, per-bit toggle counts of a (waveforms, cycles) matrix in the
+    width's word dtype."""
     diff = rows[:, 1:] ^ rows[:, :-1]
     toggles = np.empty((len(rows), width), dtype=np.int64)
-    ones = np.empty((len(rows), width), dtype=np.int64)
     for b in range(width):
-        bit = rows.dtype.type(1 << b)
-        toggles[:, b] = np.count_nonzero(diff & bit, axis=1)
-        ones[:, b] = np.count_nonzero(rows & bit, axis=1)
-    return toggles.tolist(), ones.tolist()
-
-
-def _stats(width: int, cycles: int, toggles: list[int], ones: list[int]) -> ActivityStats:
-    rates = tuple(t / (cycles - 1) for t in toggles)
-    probs = tuple(o / cycles for o in ones)
-    return ActivityStats(
-        width=width,
-        cycles=cycles,
-        toggles=tuple(toggles),
-        ones=tuple(ones),
-        word_rate=sum(rates) / width,
-        static_prob_mean=sum(probs) / width,
-    )
+        toggles[:, b] = np.count_nonzero(diff & rows.dtype.type(1 << b), axis=1)
+    return toggles.tolist()
 
 
 def activity(w: Waveform) -> ActivityStats:
@@ -246,7 +223,7 @@ def activity(w: Waveform) -> ActivityStats:
 
 # Bytes of waveform rows counted per batch: 64 rows of 2,000 one-byte cycles.
 # A batch holds as many rows as fit, at least one, so a batch and the few
-# temporaries `_bit_counts` makes of its size stay bounded at any cycle count
+# temporaries `_bit_toggles` makes of its size stay bounded at any cycle count
 # and width.
 _ACTIVITY_BYTES = 128_000
 
@@ -256,9 +233,9 @@ def _count_batch(width: int, cycles: int, batch: list[tuple[int, np.ndarray]],
     rows = np.empty((len(batch), cycles), dtype=word_dtype(width))
     for i, (_, array) in enumerate(batch):
         rows[i] = array
-    toggles, ones = _bit_counts(rows, width)
-    for (cid, _), t, o in zip(batch, toggles, ones):
-        stats[cid] = _stats(width, cycles, t, o)
+    for (cid, _), toggles in zip(batch, _bit_toggles(rows, width)):
+        word_rate = sum([t / (cycles - 1) for t in toggles]) / width
+        stats[cid] = ActivityStats(width, cycles, tuple(toggles), word_rate)
 
 
 def graph_activity(
@@ -273,13 +250,14 @@ def graph_activity(
     stats: dict[int, ActivityStats] = {}
     order: list[int] = []
     for cid, w in pairs:
-        if w.cycles < 2:
+        array = w.array
+        if len(array) < 2:
             raise SimulationError("activity needs at least two cycles")
         order.append(cid)
-        batch = pending.setdefault((w.width, w.cycles), [])
-        batch.append((cid, w.array))
-        if len(batch) >= max(1, _ACTIVITY_BYTES // w.array.nbytes):
-            _count_batch(w.width, w.cycles, batch, stats)
+        batch = pending.setdefault((w.width, len(array)), [])
+        batch.append((cid, array))
+        if len(batch) >= max(1, _ACTIVITY_BYTES // array.nbytes):
+            _count_batch(w.width, len(array), batch, stats)
             batch.clear()
     for (width, cycles), batch in pending.items():
         if batch:
@@ -288,11 +266,11 @@ def graph_activity(
 
 
 def activity_csv(stats: dict[int, ActivityStats]) -> str:
-    """CSV dump, one row per class: class_id,width,word_toggle_rate,static_prob_mean."""
-    lines = ["class_id,width,word_toggle_rate,static_prob_mean"]
+    """CSV dump, one row per class: class_id,width,word_toggle_rate."""
+    lines = ["class_id,width,word_toggle_rate"]
     for cid in sorted(stats):
         s = stats[cid]
-        lines.append(f"{cid},{s.width},{s.word_rate:.6f},{s.static_prob_mean:.6f}")
+        lines.append(f"{cid},{s.width},{s.word_rate:.6f}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import resource
 import runpy
 import subprocess
 import sys
@@ -452,6 +453,28 @@ def test_python_dash_m_runs_the_cli(fig1, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "verification passed" in proc.stderr
     assert parse_design(out.read_text()).signature() == parse_design(FIG1).signature()
+
+
+def test_running_out_of_memory_exits_1_with_a_message(tmp_path):
+    # 10^10 cycles ask stimulus generation for a 74.5 GiB array; the child's
+    # own address space is capped at 1.5 GB, so no allocation can reach the
+    # machine's memory
+    corpus = SRC / "powersat" / "corpus"
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(dict(json.loads((corpus / "fig1_op_isolate.cfg1.json")
+                                              .read_text()), cycles=10**10)))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "powersat", "--input", str(corpus / "fig1_op_isolate.dsl"),
+         "--stimuli", str(cfg)],
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=cap)
+    assert proc.returncode == 1
+    assert "powersat: error: out of memory: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_selection_deeper_than_the_recursion_limit_exits_0(tmp_path, capsys):

@@ -35,9 +35,7 @@ def flat_stats(g, rate):
             width=(w := g.class_width(cid)),
             cycles=100,
             toggles=(0,) * w,
-            ones=(50,) * w,
             word_rate=rate,
-            static_prob_mean=0.5,
         )
         for cid in g.class_ids()
     }
@@ -128,8 +126,7 @@ def test_commuted_nodes_score_bit_identically():
     g.rebuild()
     cid = g.find(cid)
     rates = {cid: 0.2, g.find(a): 0.1, g.find(b): 0.3}
-    stats = {c: ActivityStats(width=8, cycles=100, toggles=(0,) * 8, ones=(50,) * 8,
-                              word_rate=r, static_prob_mean=0.5)
+    stats = {c: ActivityStats(width=8, cycles=100, toggles=(0,) * 8, word_rate=r)
              for c, r in rates.items()}
     scores = [node_power(n, g, stats, out_class=cid) for n in sorted(g.nodes_of(cid))]
     assert len(scores) == 2
