@@ -79,9 +79,9 @@ class EGraph:
     Merges queue the surviving class and leave congruence broken until
     rebuild() (deferred rebuilding, as in egg). Each class lists the
     (node, class) pairs that read it, so rebuild finds exactly the nodes a
-    merge made stale. A rebuild hands out one object per re-canonicalized
-    form, shared by the member table, the hashcons and the parent lists.
-    Each member's provenance is one int (see `decode_tag`).
+    merge made stale. `compact_hashcons` leaves one object per form,
+    shared by the member table, the hashcons and the parent lists. Each
+    member's provenance is one int (see `decode_tag`).
     """
 
     def __init__(self):
@@ -210,7 +210,7 @@ class EGraph:
         self._members = self._order = None
         return a
 
-    def _repair(self, cid: int, touched: set[int], interned: dict[ENode, ENode]) -> None:
+    def _repair(self, cid: int, touched: set[int]) -> None:
         cls = self._classes.get(cid)
         if cls is None:
             return
@@ -218,26 +218,16 @@ class EGraph:
         # The list is detached first: merges below extend the survivor's list.
         old_parents, cls.parents = cls.parents, []
         pnodes, owners = old_parents[::2], old_parents[1::2]
-        # A parent already canonical is the live object of its form; a
-        # re-canonicalized parent equal to it takes that object. A stale
-        # parent's key goes. A canonical parent's key stays, since a pop and
-        # re-insert would spend a new slot and grow the table, but counts as
-        # absent until its form is entered below, as if popped.
-        forms = [self.canonicalize(p) for p in pnodes]
-        absent: set[ENode] = set()
-        for p, n in zip(pnodes, forms):
-            if n is p:
-                interned.setdefault(n, n)
-                absent.add(n)
-            else:
-                self._hashcons.pop(p, None)
-        version = self.version
+        # A stale parent's key goes. A canonical parent's key stays, since a
+        # pop and re-insert would spend a new slot and grow the table, but
+        # counts as absent until its form is entered below, as if popped. A
+        # stale parent has a merged-away child, so it equals no form here.
+        absent = set(pnodes)
         fresh: dict[ENode, int] = {}
-        for pnode, n, pcls in zip(pnodes, forms, owners):
-            if self.version != version:  # a merge below may have staled the form
-                n = self.canonicalize(pnode)
+        for pnode, pcls in zip(pnodes, owners):
+            n = self.canonicalize(pnode)
             if n is not pnode:
-                n = self._intern(n, interned)
+                self._hashcons.pop(pnode, None)
             pcls = self.find(pcls)
             if n in fresh and fresh[n] != pcls:
                 pcls = self.merge(fresh[n], pcls)
@@ -260,54 +250,42 @@ class EGraph:
         hashcons shows congruent, which queues more classes; then the parent
         classes touched re-canonicalize their members, each stale member's
         tag moving to its new form; where forms meet, the earlier tag wins,
-        so tags never follow set order. Every form made on the way is one
-        object. Hashcons keys with stale children remain until
-        `compact_hashcons` but cannot be hit: a lookup's key has only root
-        children, and a merged-away id never becomes a root again.
+        so tags never follow set order. A re-canonicalized form is a new
+        object in each place it is made, until `compact_hashcons`. Hashcons
+        keys with stale children remain until then too but cannot be hit: a
+        lookup's key has only root children, and a merged-away id never
+        becomes a root again.
         """
         if not self._worklist:
             return
         self._members = self._order = None
         touched: set[int] = set()
-        interned: dict[ENode, ENode] = {}  # form -> its one object
         while self._worklist:
             todo = {self.find(c) for c in self._worklist}
             self._worklist.clear()
             for cid in sorted(todo):
-                self._repair(cid, touched, interned)
+                self._repair(cid, touched)
         for cid in {self.find(c) for c in touched}:
             cls = self._classes[cid]
             members: dict[ENode, int] = {}
             nodes = cls.nodes
             for n, tag in zip(nodes[::2], nodes[1::2]):
                 m = self.canonicalize(n)
-                if m is not n:
-                    m = self._intern(m, interned)
                 if members.setdefault(m, tag) > tag:  # the earlier tag wins
                     members[m] = tag
             cls.nodes = [*chain.from_iterable(members.items())]
 
-    def _intern(self, n: ENode, interned: dict[ENode, ENode]) -> ENode:
-        """The one object of re-canonicalized form `n` during a rebuild: the
-        live member of that form if there is one, else the first handed out."""
-        obj = interned.get(n)
-        if obj is None:
-            hit = self._hashcons.get(n)
-            if hit is not None:
-                obj = next((m for m in self._classes[self.find(hit)].nodes[::2] if m == n), None)
-            obj = interned[n] = n if obj is None else obj
-        return obj
-
     def compact_hashcons(self) -> None:
         """Rebuild the hashcons and the parent lists from the live members,
-        after a rebuild.
+        after a rebuild, so all three share one object per form.
 
         Repairs pop parent keys and insert their repaired forms, which
         leaves stale keys behind and the table larger than its live keys
-        need: 1.31 MB for 8,349 keys against 0.29 MB for the 8,244 live ones
-        on the combinational add-tree at 4 iterations. A repair rewrites
-        only the repaired class's parent list, so the lists of a node's
-        other children keep its stale forms: 2,650 objects there.
+        need: 0.59 MB for 8,349 keys against 0.29 MB for the 8,244 live ones
+        on the combinational add-tree at 4 iterations (`sys.getsizeof`). A
+        repair rewrites only the repaired class's parent list, so the lists
+        of a node's other children keep its stale forms, 2,695 objects
+        there, and rebuilds make 10,158 more copies of live forms.
         """
         classes = self._classes
         self._hashcons = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .egraph import EGraphError
-from .ir import Design, DesignBuilder
+from .ir import _EQUAL_WIDTH, Design, DesignBuilder
 from .rewrite import (
     PConst,
     PConstOf,
@@ -287,7 +287,7 @@ def _walk_widths(pat: Pattern, uf: _Widths, kinds: Subst):
     if isinstance(pat, PNode):
         kind = kinds[pat.kind_var] if pat.kind_var is not None else pat.kinds[0]
         hs = [_walk_widths(c, uf, kinds) for c in pat.children]
-        if kind in ("add", "sub", "and", "or", "xor", "add3"):
+        if kind in _EQUAL_WIDTH:
             for other in hs[1:]:
                 _unify(hs[0], other, uf)
             return _first_concrete(hs)

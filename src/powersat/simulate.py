@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .egraph import EGraph, ENode
-from .stimulus import Waveform, word_dtype
+from .stimulus import StimulusError, Waveform, word_dtype
 
 
 class SimulationError(Exception):
@@ -109,8 +109,9 @@ _OPS = {
 
 def _apply(n: ENode, children: list[np.ndarray], widths: list[int]) -> np.ndarray:
     """One operator over its child waveforms (equal lengths, any word dtypes),
-    computed in a work dtype: uint64, or Python ints past 64 bits. `_fit`
-    narrows the result to storage.
+    computed in a work dtype: uint64, or Python ints past 64 bits. The
+    class's `Waveform` checks the result against the width, then narrows it
+    to storage.
 
     The work dtype covers the node and every child; for `mul` it covers the
     full product, so a product never wraps before the width check sees it.
@@ -134,15 +135,6 @@ def _node_wave(
     if n.kind == "const":
         return np.full(cycles, n.value, dtype=word_dtype(n.width))
     return _apply(n, children, widths)
-
-
-def _fit(values: np.ndarray, width: int, cid: int) -> np.ndarray:
-    """Work-dtype `values` narrowed to the class's word dtype; raises first if
-    any overflows the width, so a wide value never wraps into range."""
-    if len(values) and int(values.max()) >> width:
-        bad = next(int(v) for v in values if int(v) >> width)
-        raise SimulationError(f"value {bad} overflows width of class {cid}")
-    return values.astype(word_dtype(width), copy=False)
 
 
 def class_waveforms(
@@ -173,8 +165,12 @@ def class_waveforms(
         if late is not None:
             raise SimulationError(f"class {cid} is listed before class {late}, which it reads")
         out = _node_wave(n, [waves[c] for c in r], [g.class_width(c) for c in r], stimuli, cycles)
-        waves[cid] = out if n.kind in ("var", "const") else _fit(out, n.width, cid)
-        yield cid, Waveform(n.width, waves[cid])
+        try:
+            wave = Waveform(n.width, out)  # checks the width, then narrows
+        except StimulusError as e:
+            raise SimulationError(f"class {cid}: {e}") from None
+        waves[cid] = wave.array
+        yield cid, wave
         for c in set(r):
             readers[c] -= 1
         for c in {cid, *r}:

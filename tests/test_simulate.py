@@ -148,6 +148,15 @@ def test_simulation_without_stimuli_names_the_missing_cycle_count():
         simulate(g, choose_representatives(g), {})
 
 
+def test_simulation_rejects_a_value_wider_than_its_class():
+    g = EGraph()
+    a, b = (g.add(ENode("var", (), 4, port)) for port in "ab")
+    product = g.add(ENode("mul", (a, b), 4))
+    stimuli = {"a": Waveform(4, [3, 15]), "b": Waveform(4, [5, 15])}
+    with pytest.raises(SimulationError, match=f"class {product}: value 225 does not fit in 4 bits"):
+        simulate(g, choose_representatives(g), stimuli)
+
+
 def test_activity_word_average_of_mixed_rates():
     # three bits toggling at 0.25, 0.5 and 0.75 average to exactly 0.5
     stats = activity(Waveform(3, [0, 6, 2, 4, 5]))
