@@ -119,39 +119,11 @@ class Design:
     def signature(self) -> tuple:
         return (tuple(self.inputs), tuple((name, self.nodes[idx].width) for name, idx in self.outputs))
 
-    def validate(self) -> None:
-        declared = dict(self.inputs)
-        if len(declared) != len(self.inputs):
-            raise NetlistError("duplicate input port names")
-        seen_ports = set(declared)
-        for name, idx in self.outputs:
-            if name in seen_ports:
-                raise NetlistError(f"output port {name!r} collides with another port")
-            seen_ports.add(name)
-            if not 0 <= idx < len(self.nodes):
-                raise NetlistError(f"output {name!r} references missing node {idx}")
-        for i, n in enumerate(self.nodes):
-            if len(n.children) != ARITY[n.kind]:
-                raise NetlistError(f"node {i}: {n.kind} expects {ARITY[n.kind]} children")
-            if any(c >= i for c in n.children):
-                raise NetlistError(f"node {i}: children must precede the node")
-            if n.kind == "var":
-                if n.port not in declared:
-                    raise NetlistError(f"var references undeclared input {n.port!r}")
-                if n.width != declared[n.port]:
-                    raise WidthError(f"var {n.port!r} width differs from declaration")
-            elif n.kind == "const":
-                BitVec(n.width, n.value)
-            else:
-                w = infer_width(n.kind, tuple(self.nodes[c].width for c in n.children), n.count)
-                if w != n.width:
-                    raise WidthError(f"node {i}: stored width {n.width}, inferred {w}")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise NetlistError("nodes are not structurally interned")
-
 
 class DesignBuilder:
-    """Builds a Design with structural interning and width checking."""
+    """Builds a Design with structural interning, and checks each fact of
+    it as it enters: ports, operator arity, node indices and widths. This is
+    the one place a design is checked; the parser adds only a location."""
 
     def __init__(self, name: str):
         self.name = name
@@ -190,7 +162,13 @@ class DesignBuilder:
         if kind not in ARITY or kind in ("var", "const"):
             raise NetlistError(f"unknown operator {kind!r}")
         if len(children) != ARITY[kind]:
-            raise NetlistError(f"{kind} expects {ARITY[kind]} children, got {len(children)}")
+            raise NetlistError(f"{kind} expects {ARITY[kind]} operands, got {len(children)}")
+        if count and kind != "rep":
+            raise NetlistError(f"only rep takes a count, got {kind} with count {count}")
+        built = len(self.nodes)
+        for c in children:
+            if not 0 <= c < built:
+                raise NetlistError(f"{kind} operand: node {c} is not among the {built} nodes built")
         widths = tuple(self.nodes[c].width for c in children)
         width = infer_width(kind, widths, count)
         return self._put(Node(kind, tuple(children), width, count=count))
@@ -198,6 +176,9 @@ class DesignBuilder:
     def add_output(self, port: str, node: int) -> None:
         if port in self._declared or any(port == p for p, _ in self.outputs):
             raise NetlistError(f"duplicate port name {port!r}")
+        built = len(self.nodes)
+        if not 0 <= node < built:
+            raise NetlistError(f"output {port!r}: node {node} is not among the {built} nodes built")
         self.outputs.append((port, node))
 
     def finish(self) -> Design:
@@ -225,9 +206,7 @@ class DesignBuilder:
                 nodes.append(Node(n.kind, tuple(remap[c] for c in n.children),
                                   n.width, n.port, n.value, n.count))
         outputs = [(port, remap[idx]) for port, idx in self.outputs]
-        d = Design(self.name, list(self.inputs), outputs, nodes)
-        d.validate()
-        return d
+        return Design(self.name, list(self.inputs), outputs, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +308,7 @@ class _Parser:
                 port = self._atom("port name")
                 if not _IDENT.match(port.text):
                     raise ParseError(f"bad port name {port.text!r}", port.line, port.col)
-                width, wt = self._int("port width")
-                if width < 1:
-                    raise ParseError("port width must be >= 1", wt.line, wt.col)
+                width, _ = self._int("port width")
                 try:
                     b.add_input(port.text, width)
                 except NetlistError as e:
@@ -351,10 +328,7 @@ class _Parser:
         t = self._peek()
         if t is not None:
             raise ParseError(f"trailing input after module, got {t.text!r}", t.line, t.col)
-        try:
-            return b.finish()
-        except NetlistError as e:
-            raise ParseError(str(e), 1, 1) from None
+        return b.finish()
 
     def expr(self, b: DesignBuilder) -> int:
         """One expression. Open operators wait on an explicit stack while
@@ -393,9 +367,7 @@ class _Parser:
         head = self._atom("operator")
         op = head.text
         if op == "const":
-            width, wt = self._int("constant width")
-            if width < 1:
-                raise ParseError("constant width must be >= 1", wt.line, wt.col)
+            width, _ = self._int("constant width")
             value, vt = self._int("constant value")
             self._expect(")", "')'")
             try:
@@ -406,8 +378,6 @@ class _Parser:
         count = 0
         if rep is not None:
             count = int(rep.group(1))
-            if count < 1:
-                raise ParseError("replication count must be >= 1", head.line, head.col)
             op = "rep"
         elif op not in ARITY or op in ("var", "add3"):
             raise ParseError(f"unknown operator {op!r}", head.line, head.col)
@@ -419,10 +389,6 @@ class _Parser:
         """Build an operator whose operands and ')' have been read."""
         if op == "add" and len(children) == 3:
             op = "add3"
-        if len(children) != ARITY[op]:
-            raise ParseError(
-                f"{head.text} expects {ARITY[op]} operands, got {len(children)}", head.line, head.col
-            )
         try:
             return b.op(op, *children, count=count)
         except NetlistError as e:

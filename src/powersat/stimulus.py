@@ -290,10 +290,10 @@ def generate_stimuli(cfg: StimulusConfig, design: Design) -> dict[str, Waveform]
                 raise StimulusError(
                     f"port {port!r}: {len(spec.vectors)} vectors for {cfg.cycles} cycles"
                 )
-            for v in spec.vectors:
-                if not 0 <= v < (1 << width):
-                    raise StimulusError(f"port {port!r}: vector {v:#x} exceeds {width} bits")
-            waves[port] = Waveform(width, list(spec.vectors))
+            try:
+                waves[port] = Waveform(width, list(spec.vectors))
+            except StimulusError as e:
+                raise StimulusError(f"port {port!r}: {e}") from None
             continue
         waves[port] = Waveform(width, _random_port(cfg.seed, port, width, spec, cfg.cycles))
     return waves

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powersat.equiv import sample_rule_instance
 from powersat.ir import (
+    ARITY,
     BitVec,
     DesignBuilder,
     NetlistError,
@@ -15,7 +17,9 @@ from powersat.ir import (
     print_design,
 )
 
-from _util import chain, random_design
+from powersat.rewrite import rule_library
+
+from _util import EVERY_KIND, chain, random_design
 
 FIG1 = """
 (module fig1
@@ -167,6 +171,125 @@ def test_builder_validates_arity():
     b.add_input("a", 4)
     with pytest.raises(NetlistError):
         b.op("add", b.var("a"))
+
+
+HEAD = "(module m (input a 4) "
+
+# One case per way a text can fail to parse: the text, where the error is
+# reported, and its message. The last group comes from the builder, with
+# the location of the token that built the failing node or port.
+PARSE_ERRORS = [
+    ("(mod m)", 1, 2, "expected 'module', got 'mod'"),
+    ("(module 9m)", 1, 9, "bad module name '9m'"),
+    ("(module m (input 9a 4))", 1, 18, "bad port name '9a'"),
+    ("(module m (output 9y a))", 1, 19, "bad port name '9y'"),
+    ("(module m (wire a 4))", 1, 12, "expected 'input' or 'output', got 'wire'"),
+    ("(module m a)", 1, 11, "expected declaration, got 'a'"),
+    ("(module m (input a 4) (output y a))\n x", 2, 2, "trailing input after module, got 'x'"),
+    (HEAD + "(output y 5))", 1, 33, "expected signal name, got '5'"),
+    (HEAD + "(output y ))", 1, 33, "expected expression, got ')'"),
+    ("(module m (input a four))", 1, 20, "expected port width, got 'four'"),
+    (HEAD + "(output y (const 4 x)))", 1, 42, "expected constant value, got 'x'"),
+    (HEAD + "\n (output y (not a", 2, 13, "unexpected end of input, expected ')'"),
+    ("(module m (input a", 1, 18, "unexpected end of input, expected port width"),
+    (HEAD + "(output y a)", 1, 34, "unexpected end of input, expected declaration or ')'"),
+    ("", 1, 1, "unexpected end of input, expected '('"),
+    (")", 1, 1, "expected '(', got ')'"),
+    (HEAD + "(output y (foo a)))", 1, 34, "unknown operator 'foo'"),
+    (HEAD + "(output y (add3 a a a)))", 1, 34, "unknown operator 'add3'"),
+    (HEAD + "(input a 2))", 1, 30, "duplicate input port 'a'"),
+    (HEAD + "(output y a) (output y a))", 1, 44, "duplicate port name 'y'"),
+    (HEAD + "(output a a))", 1, 31, "duplicate port name 'a'"),
+    (HEAD + "(output y b))", 1, 33, "undeclared input 'b'"),
+    (HEAD + "(output y (const 4 16)))", 1, 42, "value 16 does not fit in 4 bits"),
+    (HEAD + "(input b 8) (output y (add a b)))", 1, 46,
+     "add requires equal operand widths, got (4, 8)"),
+    ("(module m (input a 0))", 1, 18, "input 'a' must be at least 1 bit wide"),
+    (HEAD + "(output y (const 0 0)))", 1, 42, "bitvector width must be >= 1, got 0"),
+    (HEAD + "(output y (rep0 a)))", 1, 34, "replication count must be >= 1, got 0"),
+    (HEAD + "(output y (add a)))", 1, 34, "add expects 2 operands, got 1"),
+    (HEAD + "(output y (rep2 a a)))", 1, 34, "rep expects 1 operands, got 2"),
+]
+
+
+@pytest.mark.parametrize("text,line,col,msg", PARSE_ERRORS)
+def test_every_parse_error_names_its_place(text, line, col, msg):
+    with pytest.raises(ParseError) as e:
+        parse_design(text)
+    assert (e.value.line, e.value.col, str(e.value)) == (line, col, f"{line}:{col}: {msg}")
+
+
+def test_count_is_taken_only_by_rep():
+    b = DesignBuilder("m")
+    b.add_input("a", 4)
+    a = b.var("a")
+    with pytest.raises(NetlistError, match="only rep takes a count"):
+        b.op("add", a, a, count=3)
+    with pytest.raises(NetlistError, match="only rep takes a count"):
+        b.op("not", a, count=1)
+    b.add_output("y", b.op("rep", a, count=3))
+    d = b.finish()
+    assert parse_design(print_design(d)) == d
+
+
+# Each bad index is refused where it is passed in: `finish` trusts the
+# indices it holds, and from a negative child it would walk forever.
+@pytest.mark.parametrize("bad", [-1, -2, 1, 7])
+def test_builder_rejects_a_missing_child(bad):
+    b = DesignBuilder("m")
+    b.add_input("a", 4)
+    b.var("a")
+    with pytest.raises(NetlistError, match=f"not operand: node {bad} is not among the 1 nodes"):
+        b.op("not", bad)
+    with pytest.raises(NetlistError, match=f"add operand: node {bad} is not"):
+        b.op("add", 0, bad)
+    assert len(b.nodes) == 1
+
+
+@pytest.mark.parametrize("bad", [-1, -2, 2, 7])
+def test_builder_rejects_a_missing_output_node(bad):
+    b = DesignBuilder("m")
+    b.add_input("a", 4)
+    b.op("not", b.var("a"))
+    with pytest.raises(NetlistError, match=f"output 'y': node {bad} is not among the 2 nodes"):
+        b.add_output("y", bad)
+    assert b.outputs == []
+
+
+def assert_well_formed(d):
+    """What a built design always holds: distinct port names, children
+    before their node, widths as declared or inferred, interned nodes."""
+    declared = dict(d.inputs)
+    names = [p for p, _ in d.inputs] + [p for p, _ in d.outputs]
+    assert len(set(names)) == len(names)
+    assert all(0 <= idx < len(d.nodes) for _, idx in d.outputs)
+    for i, n in enumerate(d.nodes):
+        assert len(n.children) == ARITY[n.kind]
+        assert all(0 <= c < i for c in n.children)
+        if n.kind == "var":
+            assert n.width == declared[n.port]
+        elif n.kind == "const":
+            BitVec(n.width, n.value)  # raises unless the value fits
+        else:
+            widths = tuple(d.nodes[c].width for c in n.children)
+            assert n.width == infer_width(n.kind, widths, n.count)
+            assert n.count == 0 or n.kind == "rep"
+    assert len(set(d.nodes)) == len(d.nodes)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**9), st.sampled_from(["registers", "every", "rule"]))
+def test_built_designs_are_well_formed(seed, source):
+    rng = random.Random(seed)
+    if source == "rule":
+        rules = rule_library()
+        designs = sample_rule_instance(rules[rng.randrange(len(rules))], rng)[0]
+    elif source == "every":
+        designs = [random_design(rng, max_nodes=14, kinds=EVERY_KIND)]
+    else:
+        designs = [random_design(rng)]
+    for d in designs:
+        assert_well_formed(d)
 
 
 @settings(max_examples=80)

@@ -8,7 +8,7 @@ import pytest
 from powersat import benchmarks
 from powersat.egraph import COUNT_CAP, EGraph, EGraphError, ENode
 from powersat.equiv import sample_rule_instance
-from powersat.ir import parse_design
+from powersat.ir import parse_design, print_design
 from powersat.rewrite import (
     PConst,
     PConstOf,
@@ -343,8 +343,8 @@ def test_sample_rule_instance_produces_valid_designs():
         (lhs, rhs), _widths, _kinds = sample_rule_instance(rule, rng)
         assert lhs.inputs == rhs.inputs
         assert lhs.signature() == rhs.signature()
-        lhs.validate()
-        rhs.validate()
+        for d in (lhs, rhs):
+            assert parse_design(print_design(d)) == d
 
 
 # Saturation pins: sha256 of `g.dump()`, (classes, nodes, designs) after each

@@ -127,7 +127,7 @@ def test_vector_length_must_match_cycles():
 
 
 def test_vector_value_must_fit_width():
-    with pytest.raises(StimulusError):
+    with pytest.raises(StimulusError, match=r"^port 'b': value 2 does not fit in 1 bits$"):
         generate_stimuli(cfg(cycles=1, a={"vectors": [0]}, b={"vectors": [2]}), DESIGN)
 
 
