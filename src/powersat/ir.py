@@ -132,12 +132,17 @@ class DesignBuilder:
         self.nodes: list[Node] = []
         self._intern: dict[Node, int] = {}
         self._declared: dict[str, int] = {}
+        self._ports: set[str] = set()  # inputs and outputs share one namespace
+
+    def _claim(self, port: str) -> None:
+        if port in self._ports:
+            raise NetlistError(f"duplicate port name {port!r}")
+        self._ports.add(port)
 
     def add_input(self, port: str, width: int) -> None:
-        if port in self._declared:
-            raise NetlistError(f"duplicate input port {port!r}")
         if width < 1:
             raise WidthError(f"input {port!r} must be at least 1 bit wide")
+        self._claim(port)
         self._declared[port] = width
         self.inputs.append((port, width))
 
@@ -174,11 +179,10 @@ class DesignBuilder:
         return self._put(Node(kind, tuple(children), width, count=count))
 
     def add_output(self, port: str, node: int) -> None:
-        if port in self._declared or any(port == p for p, _ in self.outputs):
-            raise NetlistError(f"duplicate port name {port!r}")
         built = len(self.nodes)
         if not 0 <= node < built:
             raise NetlistError(f"output {port!r}: node {node} is not among the {built} nodes built")
+        self._claim(port)
         self.outputs.append((port, node))
 
     def finish(self) -> Design:

@@ -197,7 +197,8 @@ PARSE_ERRORS = [
     (")", 1, 1, "expected '(', got ')'"),
     (HEAD + "(output y (foo a)))", 1, 34, "unknown operator 'foo'"),
     (HEAD + "(output y (add3 a a a)))", 1, 34, "unknown operator 'add3'"),
-    (HEAD + "(input a 2))", 1, 30, "duplicate input port 'a'"),
+    (HEAD + "(input a 2))", 1, 30, "duplicate port name 'a'"),
+    (HEAD + "(output y a) (input y 4))", 1, 43, "duplicate port name 'y'"),
     (HEAD + "(output y a) (output y a))", 1, 44, "duplicate port name 'y'"),
     (HEAD + "(output a a))", 1, 31, "duplicate port name 'a'"),
     (HEAD + "(output y b))", 1, 33, "undeclared input 'b'"),
@@ -209,6 +210,10 @@ PARSE_ERRORS = [
     (HEAD + "(output y (rep0 a)))", 1, 34, "replication count must be >= 1, got 0"),
     (HEAD + "(output y (add a)))", 1, 34, "add expects 2 operands, got 1"),
     (HEAD + "(output y (rep2 a a)))", 1, 34, "rep expects 1 operands, got 2"),
+    # With more than one fault, the first node built that fails is reported:
+    # an operand is built before its operator, so the inner fault wins.
+    (HEAD + "(output y (rep0 (foo a))))", 1, 40, "unknown operator 'foo'"),
+    (HEAD + "(output y (rep0 (const 0 0))))", 1, 48, "bitvector width must be >= 1, got 0"),
 ]
 
 
@@ -217,6 +222,18 @@ def test_every_parse_error_names_its_place(text, line, col, msg):
     with pytest.raises(ParseError) as e:
         parse_design(text)
     assert (e.value.line, e.value.col, str(e.value)) == (line, col, f"{line}:{col}: {msg}")
+
+
+# Inputs and outputs share one namespace, whichever is declared first.
+def test_builder_rejects_a_port_name_used_twice():
+    b = DesignBuilder("m")
+    b.add_input("a", 4)
+    b.add_output("y", b.var("a"))
+    for add in (lambda: b.add_input("a", 4), lambda: b.add_input("y", 4),
+                lambda: b.add_output("a", 0), lambda: b.add_output("y", 0)):
+        with pytest.raises(NetlistError, match="duplicate port name"):
+            add()
+    assert b.inputs == [("a", 4)] and b.outputs == [("y", 0)]
 
 
 def test_count_is_taken_only_by_rep():
