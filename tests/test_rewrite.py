@@ -201,6 +201,26 @@ def test_instantiate_reuses_bound_classes():
     assert g.find(rebuilt) == g.find(cid)  # hashcons hit, no new class
 
 
+ADD4 = "(module m (input a 4) (input b 4) (output y (add a b)))"
+
+
+def test_ill_formed_right_side_is_an_egraph_error():
+    g, _, _ = seeded(ADD4)
+    a, b = PVar("a"), PVar("b")
+    bad = Rewrite("bad", "arithmetic", _n("add", a, b), _n("mux", a, a, b))
+    with pytest.raises(EGraphError, match="^rewrite built an ill-formed mux node: "
+                                          "mux select must be 1 bit wide, got 4$"):
+        apply_rules(g, [bad], max_iters=1)
+
+
+def test_width_changing_rule_is_an_egraph_error():
+    g, _, _ = seeded(ADD4)
+    a, b = PVar("a"), PVar("b")
+    bad = Rewrite("bad", "arithmetic", _n("add", a, b), _n("mul", a, b))
+    with pytest.raises(EGraphError, match="^rule bad changed width on class 2$"):
+        apply_rules(g, [bad], max_iters=1)
+
+
 def test_transp_reg_mask_adds_treg_variant():
     # the masked-signal class gains a member gating the same source via a
     # transparent register: A & rep(M)  =>  TREG(A, M) & rep(M)
@@ -385,6 +405,24 @@ MIXED_SATURATION = [
     (4, "4bce20a7ab7fd46f6c6c9dd836e93b9522ffa281da9dad6705f1727dcbfc6ba6",
      [(19, 27, CAP), (23, 42, CAP)], "iteration-limit"),
 ]
+
+
+# One sha256 over 40 draws of the same kind at 2 iterations: each graph's
+# dump, every member's provenance tag and the iteration stats, recorded
+# while right sides were built by a recursive interpreter.
+MIXED_40_SHA256 = "9bd9a56e8b9d273c96c936800b84e9fd771caf50dd25a80f095021a87cb05de4"
+
+
+def test_forty_mixed_draws_are_pinned():
+    h = hashlib.sha256()
+    for draw in range(40):
+        g = EGraph()
+        g.add_expr(random_design(random.Random(f"mixed/{draw}"), max_nodes=24, kinds=EVERY_KIND))
+        report = apply_rules(g, rule_library(), max_iters=2)
+        tags = sorted((index, rule, g.render(n)) for n, (index, rule) in provenance_tags(g).items())
+        steps = [(s.classes, s.nodes, s.designs) for s in report.iterations]
+        h.update(repr((g.dump(), tags, steps, report.stop_reason)).encode())
+    assert h.hexdigest() == MIXED_40_SHA256
 
 
 def saturation_fingerprint(design, iters):
