@@ -151,11 +151,14 @@ class EGraph:
     def add(self, n: ENode) -> int:
         return self.add_canonical(self.canonicalize(n))
 
-    def add_canonical(self, n: ENode) -> int:
-        """`add` for a node whose children are already canonical ids."""
+    def add_canonical(self, n: ENode | tuple) -> int:
+        """`add` for a node whose children are already canonical ids. The
+        node may be a plain tuple in ENode's layout, made one only if new."""
         hit = self._hashcons.get(n)
         if hit is not None:
             return self.find(hit)
+        if type(n) is not ENode:
+            n = tuple.__new__(ENode, n)
         cid = self._fresh(n)
         for c in set(n[1:-4]):
             self._classes[c].parents += (n, cid)

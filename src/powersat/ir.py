@@ -120,12 +120,18 @@ class Design:
         return (tuple(self.inputs), tuple((name, self.nodes[idx].width) for name, idx in self.outputs))
 
 
+# A module or port name: what the printer can write and the parser read back.
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 class DesignBuilder:
     """Builds a Design with structural interning, and checks each fact of
-    it as it enters: ports, operator arity, node indices and widths. This is
-    the one place a design is checked; the parser adds only a location."""
+    it as it enters: names, ports, arity, node indices and widths. The
+    parser adds a location, and checks each name at its token."""
 
     def __init__(self, name: str):
+        if not _IDENT.fullmatch(name):
+            raise NetlistError(f"bad module name {name!r}")
         self.name = name
         self.inputs: list[tuple[str, int]] = []
         self.outputs: list[tuple[str, int]] = []
@@ -135,6 +141,8 @@ class DesignBuilder:
         self._ports: set[str] = set()  # inputs and outputs share one namespace
 
     def _claim(self, port: str) -> None:
+        if not _IDENT.fullmatch(port):
+            raise NetlistError(f"bad port name {port!r}")
         if port in self._ports:
             raise NetlistError(f"duplicate port name {port!r}")
         self._ports.add(port)
@@ -255,7 +263,6 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _REP = re.compile(r"rep([0-9]+)$")
 
 
@@ -298,7 +305,7 @@ class _Parser:
         if kw.text != "module":
             raise ParseError(f"expected 'module', got {kw.text!r}", kw.line, kw.col)
         name = self._atom("module name")
-        if not _IDENT.match(name.text):
+        if not _IDENT.fullmatch(name.text):
             raise ParseError(f"bad module name {name.text!r}", name.line, name.col)
         b = DesignBuilder(name.text)
         while True:
@@ -310,7 +317,7 @@ class _Parser:
             head = self._atom("'input' or 'output'")
             if head.text == "input":
                 port = self._atom("port name")
-                if not _IDENT.match(port.text):
+                if not _IDENT.fullmatch(port.text):
                     raise ParseError(f"bad port name {port.text!r}", port.line, port.col)
                 width, _ = self._int("port width")
                 try:
@@ -319,7 +326,7 @@ class _Parser:
                     raise ParseError(str(e), port.line, port.col) from None
             elif head.text == "output":
                 port = self._atom("port name")
-                if not _IDENT.match(port.text):
+                if not _IDENT.fullmatch(port.text):
                     raise ParseError(f"bad port name {port.text!r}", port.line, port.col)
                 idx = self.expr(b)
                 try:
@@ -360,7 +367,7 @@ class _Parser:
         operator onto `stack` and return None."""
         t = self._next("expression")
         if t.kind == "atom":
-            if not _IDENT.match(t.text):
+            if not _IDENT.fullmatch(t.text):
                 raise ParseError(f"expected signal name, got {t.text!r}", t.line, t.col)
             try:
                 return b.var(t.text)

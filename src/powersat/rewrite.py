@@ -10,7 +10,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .egraph import COUNT_CAP, EGraph, EGraphError, ENode
+from .egraph import COUNT_CAP, EGraph, EGraphError
 from .ir import WidthError, infer_width
 
 Subst = dict[str, "int | str"]
@@ -94,18 +94,17 @@ class Rewrite:
 # names are bound at each point is fixed by the pattern, so each bound class
 # or operator lives in one local variable: a repeated name compiles to an
 # equality test. A match is the tuple of the matched class and the bound
-# locals; a second generated function turns it into a substitution dict
-# when the match is applied. The generated code reads e-nodes by index:
-# kind 0, child i at 1 + i; a constant's value 2 and width 4; a
-# replication's count 4.
+# locals, in the order of the matcher's `names`. The generated code reads
+# e-nodes by index: kind 0, child i at 1 + i; a constant's value 2 and
+# width 4; a replication's count 4.
 
 
 class _Matcher(NamedTuple):
-    """A compiled left side: `match(g)` lists the match keys (class, then
-    each bound class or operator), `subst(key)` makes one a substitution."""
+    """A compiled left side: `match(g)` lists the match keys: the class,
+    then each bound class or operator, named by `names`."""
 
     match: Callable[[EGraph], list[tuple]]
-    subst: Callable[[tuple], Subst]
+    names: tuple[str, ...]
 
 
 def _compile(pat: Pattern) -> _Matcher:
@@ -195,13 +194,11 @@ def _compile(pat: Pattern) -> _Matcher:
 
     step([(pat, "cid")], 2)
     lines.append("    return out")
-    subst = ", ".join(f"{name!r}: key[{i}]" for i, name in enumerate(regs, 1))
-    lines += ["def subst(key):", f"    return {{{subst}}}"]
     try:
         exec(compile("\n".join(lines), f"<match {pat!r}>", "exec"), namespace)
     except SyntaxError as e:  # CPython allows 20 nested loops
         raise EGraphError(f"pattern too deep to compile: {e.msg}") from e
-    return _Matcher(namespace["match"], namespace["subst"])
+    return _Matcher(namespace["match"], tuple(regs))
 
 
 # Patterns are frozen values, so each distinct one compiles once.
@@ -212,37 +209,66 @@ def ematch(g: EGraph, pat: Pattern) -> list[tuple[int, Subst]]:
     """All (class, substitution) pairs where the pattern matches, deduplicated,
     in deterministic class-id order."""
     m = _matcher(pat)
-    return [(key[0], m.subst(key)) for key in m.match(g)]
+    return [(key[0], dict(zip(m.names, key[1:]))) for key in m.match(g)]
+
+
+# ---------------------------------------------------------------------------
+# building
+#
+# Each right side compiles, per layout of the match keys, into one generated
+# function `build(g, key)` that adds its nodes children first, each distinct
+# subpattern once, and returns the root's canonical class. Each node is a
+# plain tuple in ENode's layout, which `add_canonical` looks up in the
+# hashcons and makes an ENode only when new, so a match that adds nothing
+# costs a few hash lookups.
+
+
+@functools.cache
+def _width(kind: str, *widths: int) -> int:
+    try:
+        return infer_width(kind, widths)
+    except WidthError as e:
+        raise EGraphError(f"rewrite built an ill-formed {kind} node: {e}") from e
+
+
+@functools.cache  # patterns are frozen values: each compiles once per layout
+def _builder(pat: Pattern, names: tuple[str, ...]) -> Callable[[EGraph, tuple], int]:
+    key = {name: f"key[{i}]" for i, name in enumerate(names, 1)}
+    lines = ["def build(g, key):", "    find, add, W = g.find, g.add_canonical, g._width"]
+    local: dict[Pattern, str] = {}  # subpattern -> the local holding its class
+
+    def emit(p: Pattern) -> str:
+        if p in local:
+            return local[p]
+        if isinstance(p, PVar):
+            value = f"find({key[p.name]})"
+        elif isinstance(p, PConst):
+            value = f"add(('const', '', {p.value}, 0, {p.width}))"
+        elif isinstance(p, PConstOf):
+            w = f"W[{key[p.width_of]}]"
+            value = f"add(('const', '', {f'(1 << {w}) - 1' if p.value == 'ones' else int(p.value)}, 0, {w}))"
+        elif isinstance(p, PRep):
+            child, count = emit(p.child), f"W[{key[p.width_of]}]"
+            value = f"add(('rep', {child}, '', 0, {count}, {count} * W[{child}]))"
+        else:
+            kind = key[p.kind_var] if p.kind_var is not None else repr(p.kinds[0])
+            children = [emit(child) for child in p.children]
+            widths = ", ".join(f"W[{child}]" for child in children)
+            value = f"add(({kind}, {''.join(f'{c}, ' for c in children)}'', 0, 0, width({kind}, {widths})))"
+        local[p] = f"c{len(local)}"
+        lines.append(f"    {local[p]} = {value}")
+        return local[p]
+
+    lines.append(f"    return {emit(pat)}")
+    namespace = {"width": _width}
+    exec(compile("\n".join(lines), f"<build {pat!r}>", "exec"), namespace)
+    return namespace["build"]
 
 
 def instantiate(g: EGraph, pat: Pattern, subst: Subst) -> int:
     """Build a pattern into the graph under a substitution; returns its
-    canonical class. Every node built has canonical children, since each
-    child is such a return value, so it skips `EGraph.add`'s
-    canonicalization."""
-    if isinstance(pat, PVar):
-        return g.find(subst[pat.name])
-    if isinstance(pat, PConst):
-        return g.add_canonical(ENode("const", (), pat.width, value=pat.value))
-    if isinstance(pat, PConstOf):
-        w = g.class_width(subst[pat.width_of])
-        v = (1 << w) - 1 if pat.value == "ones" else int(pat.value)
-        return g.add_canonical(ENode("const", (), w, value=v))
-    if isinstance(pat, PRep):
-        child = instantiate(g, pat.child, subst)
-        count = g.class_width(subst[pat.width_of])
-        width = count * g.class_width(child)
-        return g.add_canonical(ENode("rep", (child,), width, count=count))
-    if isinstance(pat, PNode):
-        kind = subst[pat.kind_var] if pat.kind_var is not None else pat.kinds[0]
-        children = tuple([instantiate(g, c, subst) for c in pat.children])
-        widths = tuple(map(g.class_width, children))
-        try:
-            width = infer_width(kind, widths)
-        except WidthError as e:
-            raise EGraphError(f"rewrite built an ill-formed {kind} node: {e}") from e
-        return g.add_canonical(ENode(kind, children, width))
-    raise EGraphError(f"cannot instantiate {pat!r}")
+    canonical class."""
+    return _builder(pat, tuple(subst))(g, (None, *subst.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -451,29 +477,28 @@ def apply_rules(
     g.rebuild()
     report = RunReport()
     designs = 0
+    # Each distinct left side's matcher, and per rule its name, the index of
+    # its left side's match list and its builder.
+    lhs_index = {lhs: i for i, lhs in enumerate(dict.fromkeys(r.lhs for r in rules))}
+    matchers = [_matcher(lhs) for lhs in lhs_index]
+    plan = [(r.name, lhs_index[r.lhs], _builder(r.rhs, _matcher(r.lhs).names)) for r in rules]
+    find, width = g.find, g.class_width
     for it in range(1, max_iters + 1):
         before = g.version
-        # Each rule with its match keys; rules sharing a left side share one list.
-        found: dict[Pattern, list[tuple]] = {}
-        batch: list[tuple[Rewrite, Callable[[tuple], Subst], list[tuple]]] = []
-        for rule in rules:
-            m = _matcher(rule.lhs)
-            keys = found.get(rule.lhs)
-            if keys is None:
-                keys = found[rule.lhs] = m.match(g)
-            batch.append((rule, m.subst, keys))
-        for rule, subst, keys in batch:
-            g.origin_tag = rule.name
+        found = [m.match(g) for m in matchers]
+        for name, i, build in plan:
+            g.origin_tag = name
             try:
-                for key in keys:
-                    new_cid = instantiate(g, rule.rhs, subst(key))
-                    lhs_cid = g.find(key[0])
-                    if g.class_width(lhs_cid) != g.class_width(new_cid):
-                        raise EGraphError(f"rule {rule.name} changed width on class {lhs_cid}")
-                    g.merge(lhs_cid, new_cid)
+                for key in found[i]:
+                    new_cid = build(g, key)
+                    lhs_cid = find(key[0])
+                    if new_cid != lhs_cid:
+                        if width(lhs_cid) != width(new_cid):
+                            raise EGraphError(f"rule {name} changed width on class {lhs_cid}")
+                        g.merge(lhs_cid, new_cid)
             finally:
                 g.origin_tag = "design"
-        del found, batch  # the match lists go before the rebuild grows the graph
+        del found  # the match lists go before the rebuild grows the graph
         g.rebuild()
         if designs != COUNT_CAP:
             designs = g.count_designs()

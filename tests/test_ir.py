@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +235,35 @@ def test_builder_rejects_a_port_name_used_twice():
         with pytest.raises(NetlistError, match="duplicate port name"):
             add()
     assert b.inputs == [("a", 4)] and b.outputs == [("y", 0)]
+
+
+# The builder takes only names the printer can write and the parser read back.
+@pytest.mark.parametrize("name", ["a b", "", "9a", "a\n", "a-b"])
+def test_builder_rejects_a_name_the_parser_cannot_read(name):
+    with pytest.raises(NetlistError, match=f"^bad module name {re.escape(repr(name))}$"):
+        DesignBuilder(name)
+    b = DesignBuilder("m")
+    with pytest.raises(NetlistError, match=f"^bad port name {re.escape(repr(name))}$"):
+        b.add_input(name, 4)
+    b.add_input("a", 4)
+    with pytest.raises(NetlistError, match=f"^bad port name {re.escape(repr(name))}$"):
+        b.add_output(name, b.var("a"))
+    assert b.inputs == [("a", 4)] and b.outputs == []
+
+
+@settings(max_examples=150)
+@given(st.one_of(st.text(max_size=4), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)),
+       st.one_of(st.text(max_size=4), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)))
+def test_every_design_built_reads_back(module, port):
+    try:
+        b = DesignBuilder(module)
+        b.add_input(port, 4)
+        b.add_output(port + "_y", b.op("not", b.var(port)))
+    except NetlistError as e:
+        assert str(e).startswith("bad ")
+        return
+    d = b.finish()
+    assert parse_design(print_design(d)) == d
 
 
 def test_count_is_taken_only_by_rep():

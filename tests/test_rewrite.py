@@ -221,6 +221,28 @@ def test_width_changing_rule_is_an_egraph_error():
         apply_rules(g, [bad], max_iters=1)
 
 
+BUILDER_SCRIPT = """
+import powersat.cli
+from powersat import EGraph, apply_rules, benchmarks, rule_library
+from powersat.rewrite import _builder, _matcher
+print(_builder.cache_info().misses)
+for _ in range(2):
+    g = EGraph()
+    g.add_expr(benchmarks.design("fig1_op_isolate"))
+    apply_rules(g, rule_library(), max_iters=2)
+    print(_builder.cache_info().misses)
+print(len({(r.rhs, _matcher(r.lhs).names) for r in rule_library()}))
+"""
+
+
+def test_each_right_side_compiles_once_and_not_at_import():
+    proc = subprocess.run([sys.executable, "-c", BUILDER_SCRIPT], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, first, second, distinct = map(int, proc.stdout.split())
+    assert (at_import, first, second) == (0, distinct, distinct)
+
+
 def test_transp_reg_mask_adds_treg_variant():
     # the masked-signal class gains a member gating the same source via a
     # transparent register: A & rep(M)  =>  TREG(A, M) & rep(M)

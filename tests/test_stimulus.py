@@ -18,6 +18,7 @@ from powersat.stimulus import (
     convergence_tolerance,
     fnv1a64,
     generate_stimuli,
+    _random_port,
     word_dtype,
 )
 
@@ -218,25 +219,39 @@ def reference_stream(seed: int, port: str, bit: int, spec: PortSpec, cycles: int
     return bits
 
 
-@settings(max_examples=60)
-@given(
+def reference_words(seed: int, port: str, width: int, spec: PortSpec, cycles: int) -> list[int]:
+    columns = [reference_stream(seed, port, bit, spec, cycles) for bit in range(width)]
+    return [sum(columns[bit][i] << bit for bit in range(width)) for i in range(cycles)]
+
+
+STREAM_ARGS = dict(
     seed=st.integers(-(1 << 64), 1 << 65),
-    port=st.text(min_size=1, max_size=8),
     rate=st.floats(0.0, 1.0),
     isp=st.floats(0.0, 1.0),
     width=st.integers(1, 70),
     cycles=st.integers(1, 40),
 )
+
+
+@settings(max_examples=60)
+@given(port=st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True), **STREAM_ARGS)
 def test_streams_match_the_scalar_generator(seed, port, rate, isp, width, cycles):
     b = DesignBuilder("one")
     b.add_input(port, width)
     b.add_output("y" if port != "y" else "z", b.var(port))
     spec = PortSpec(toggle_rate=rate, initial_static_probability=isp)
     wave = generate_stimuli(StimulusConfig(cycles, seed, {port: spec}), b.finish())[port]
-    columns = [reference_stream(seed, port, bit, spec, cycles) for bit in range(width)]
-    expect = [sum(columns[bit][i] << bit for bit in range(width)) for i in range(cycles)]
     assert wave.width == width
-    assert wave.values == expect
+    assert wave.values == reference_words(seed, port, width, spec, cycles)
+
+
+# A design's port names are identifiers; the stream seeding takes any text.
+@settings(max_examples=60)
+@given(port=st.text(min_size=1, max_size=8), **STREAM_ARGS)
+def test_streams_of_any_port_name_match_the_scalar_generator(seed, port, rate, isp, width, cycles):
+    spec = PortSpec(toggle_rate=rate, initial_static_probability=isp)
+    words = _random_port(seed, port, width, spec, cycles)
+    assert [int(w) for w in words] == reference_words(seed, port, width, spec, cycles)
 
 
 # sha256 of every shipped config's stimuli, pinned before the generator was vectorized
