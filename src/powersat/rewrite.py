@@ -225,6 +225,7 @@ def ematch(g: EGraph, pat: Pattern) -> list[tuple[int, Subst]]:
 
 @functools.cache
 def _width(kind: str, *widths: int) -> int:
+    """`infer_width` for the builders, cached per operator and operand widths."""
     try:
         return infer_width(kind, widths)
     except WidthError as e:
@@ -469,8 +470,8 @@ def apply_rules(
     """Run every rule each iteration until saturation or a limit.
 
     Matches are collected against the frozen graph, each distinct left side
-    matched once for all the rules that share it, then instantiated and
-    merged as a batch, then congruence is rebuilt once per iteration. The
+    matched once for all the rules that share it, then built and merged as
+    a batch, then congruence is rebuilt once per iteration. The
     graph only gains designs, so once the count reaches the cap it stays.
     The hashcons is compacted once at the end.
     """

@@ -540,7 +540,8 @@ def test_rewriting_memory_is_bounded():
     # match lists held dicts, the peak was 14.1 MB (tracemalloc); with
     # (index, rule) tag tuples, a children tuple per node, a dict per member
     # table and repairs that pop and re-insert live hashcons keys, 9.3 MB;
-    # now 6.2 MB
+    # with a substitution dict and an ENode made per applied match, 6.2 MB;
+    # now 5.9 MB
     g = EGraph()
     g.add_expr(benchmarks.design("comb_mux_add_tree"))
     report, peak = traced_peak(lambda: apply_rules(g, rule_library(), max_iters=4))
