@@ -63,15 +63,26 @@ def build_problem(
 ) -> SelectionProblem:
     """Package per-node scores into a selection problem over the graph, each
     class's nodes ranked by score, then node key: `nodes_of` lists them by
-    node key and the sort is stable."""
+    node key and the sort is stable.
+
+    Every member needs a finite score of at least 0, the only scores the
+    search's bound and the greedy start hold for, and every incumbent entry
+    must pick a member of its class. Raises EGraphError otherwise."""
     roots = [g.find(c) for c in (roots if roots is not None else g.root_classes())]
     ranked = {}
     for cid in g.class_ids():
-        per = scores[cid]
-        nodes = sorted(g.nodes_of(cid), key=per.__getitem__)
+        per = scores.get(cid, {})
+        nodes = g.nodes_of(cid)
         if not nodes:
             raise EGraphError(f"class {cid} has no candidate nodes")
-        ranked[cid] = {n: per[n] for n in nodes}
+        for n in nodes:
+            s = per.get(n)
+            if s is None or not 0.0 <= s < math.inf:
+                raise EGraphError(f"class {cid}: node {n} needs a finite score >= 0, got {s}")
+        ranked[cid] = {n: per[n] for n in sorted(nodes, key=per.__getitem__)}
+    for cid, n in (incumbent or {}).items():
+        if n not in ranked.get(cid, ()):
+            raise EGraphError(f"incumbent picks {n} for class {cid}, not one of its members")
     return SelectionProblem(g, roots, ranked, incumbent)
 
 
@@ -131,17 +142,24 @@ def selection_cost(problem: SelectionProblem, choice: dict[int, ENode]) -> float
 _Row = tuple[float, ENode, tuple[int, ...], tuple[int, ...]]
 
 
-def _late(deadline: float | None) -> bool:
-    return deadline is not None and time.monotonic() > deadline
+class _OutOfTime(Exception):
+    """The deadline passed; `solve` returns its incumbent unproven."""
+
+
+def _check_clock(deadline: float | None) -> None:
+    """Raise _OutOfTime once the deadline has passed: `solve`'s one comparison
+    of the clock with the deadline, in set-up and every 256 search nodes."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise _OutOfTime
 
 
 def _search_rows(
     problem: SelectionProblem, roots: list[int], deadline: float | None
-) -> tuple[dict[int, list[_Row]], list[tuple[list[int], bool]], dict[int, int], set[int]] | None:
+) -> tuple[dict[int, list[_Row]], list[tuple[list[int], bool]], dict[int, int], set[int]]:
     """Per class: search rows, made once per candidate with its canonical
     child classes. Then the graph's `class_order`; each class's parent class
     while it has only one; and the classes that cannot be exclusive (see
-    `_bound_tables`). None once the deadline passes.
+    `_bound_tables`).
 
     A row with the score, child classes and register flag of an earlier row
     is its twin: its subtree is a copy whose leaves differ only in this
@@ -152,8 +170,7 @@ def _search_rows(
     parent: dict[int, int] = {}  # class -> its parent class, while it has one
     shared = set(roots)  # classes that cannot be exclusive
     for cid, ranked in problem.scores.items():
-        if _late(deadline):
-            return None
+        _check_clock(deadline)
         out, seen = [], set()
         for n, score in ranked.items():
             children = tuple({find(c) for c in n.children})
@@ -172,30 +189,26 @@ def _search_rows(
 def _greedy(
     rows_of: dict[int, list[_Row]], order: list[tuple[list[int], bool]], roots: list[int],
     deadline: float | None,
-) -> dict[int, ENode] | None:
+) -> dict[int, ENode]:
     """egg's greedy extraction over the search rows: the closure from the
-    roots of each class's cheapest row by tree cost, or None.
+    roots of each class's cheapest row by tree cost.
 
     A class's tree cost is the least, over its rows, of the row's score
     plus the tree costs of its child classes, so a class read twice is
     counted twice. Costs are computed children first over the components,
     sweeping a cyclic one until no cost falls; a class keeps the first row
-    that lowered its cost. With scores of at least 0 each sweep settles one
-    more class, so one sweep per member and one to confirm suffice, and a
-    kept row costs at least each of its children, whose costs only fall
-    afterwards, so the picks close no cycle. A negative score can make
-    costs fall for longer, so the sweeps stop at that count, and the
-    answer is rejected if it holds a cycle, register edges included: the
-    search forbids combinational cycles and `reconstruct` cannot build
-    register loops. It is also None if a root has no finite cost, or once
-    the deadline passes.
+    that lowered its cost. Scores are at least 0 (`build_problem`), so each
+    sweep settles one more class, and one sweep per member and one to
+    confirm suffice. Every class gets a finite cost, since the member that
+    made it reads only older classes. A kept row costs at least each of its
+    children, whose costs only fall afterwards, so the picks close no
+    cycle, register edges included.
     """
     cost: dict[int, float] = {}
     pick: dict[int, _Row] = {}
     inf = math.inf
     for comp, cyclic in order:
-        if _late(deadline):
-            return None
+        _check_clock(deadline)
         for _ in range(len(comp) + 1 if cyclic else 1):
             fell = False
             for c in comp:
@@ -212,25 +225,18 @@ def _greedy(
             if not fell:
                 break
     chosen: dict[int, ENode] = {}
-    reads: dict[int, tuple[int, ...]] = {}
     stack = list(roots)
     while stack:
         c = stack.pop()
-        if c in reads:
-            continue
-        row = pick.get(c)
-        if row is None:
-            return None
-        chosen[c], reads[c] = row[1], row[2]
-        stack.extend(row[2])
-    if any(closes_cycle(comp, reads) for comp in strongly_connected(reads)):
-        return None
+        if c not in chosen:
+            _score, chosen[c], children, _comb = pick[c]
+            stack.extend(children)
     return chosen
 
 
-def greedy_selection(problem: SelectionProblem) -> dict[int, ENode] | None:
+def greedy_selection(problem: SelectionProblem) -> dict[int, ENode]:
     """The greedy selection `solve` starts from when it beats the
-    incumbent (see `_greedy`); None if it has a cycle or misses a root."""
+    incumbent (see `_greedy`)."""
     roots = sorted(set(problem.roots))
     rows_of, order, _parent, _shared = _search_rows(problem, roots, None)
     return _greedy(rows_of, order, roots, None)
@@ -239,8 +245,8 @@ def greedy_selection(problem: SelectionProblem) -> dict[int, ENode] | None:
 def _bound_tables(
     rows_of: dict[int, list[_Row]], order: list[tuple[list[int], bool]], parent: dict[int, int],
     shared: set[int], deadline: float | None,
-) -> tuple[dict[int, tuple[int, ...]], dict[int, float]] | None:
-    """Per class: forced set and bound h. None once the deadline passes.
+) -> tuple[dict[int, tuple[int, ...]], dict[int, float]]:
+    """Per class: forced set and bound h.
 
     forced(c) = {c} ∪ ⋂_{rows n of c} ⋃_{d ∈ children(n)} forced(d) holds
     the classes every selection containing c contains, as a tuple that
@@ -284,8 +290,7 @@ def _bound_tables(
                    for score, _n, children, _comb in rows_of[c])
 
     for comp, cyclic in order:
-        if _late(deadline):
-            return None
+        _check_clock(deadline)
         for c in comp:
             forced[c] = (c,)
             h[c] = rows_of[c][0][0]
@@ -351,136 +356,128 @@ def solve(problem: SelectionProblem, time_budget: float | None = None) -> Extrac
     def sel_key(choice: dict[int, ENode]) -> tuple:
         return tuple(sorted((cid, node_key(n)) for cid, n in choice.items()))
 
-    start = None
+    start = start_objective = None
     if problem.incumbent is not None:
-        seeded = _closure(problem.g, problem.incumbent, roots)
-        best_choice = seeded
-        best_cost = selection_cost(problem, seeded)
-        best_key = sel_key(seeded)
+        best_choice = _closure(problem.g, problem.incumbent, roots)
+        best_cost = start_objective = selection_cost(problem, best_choice)
+        best_key = sel_key(best_choice)
         start = "design"
 
-    tables = None
-    rows = _search_rows(problem, roots, deadline)
-    if rows is not None:
-        rows_of, order, parent, shared = rows
-        greedy = _greedy(rows_of, order, roots, deadline)
-        if greedy is not None:
-            greedy_cost = selection_cost(problem, greedy)
-            if greedy_cost < best_cost - 1e-9:
-                best_choice, best_cost, best_key = greedy, greedy_cost, sel_key(greedy)
-                start = "greedy"
-        tables = _bound_tables(rows_of, order, parent, shared, deadline)
-    start_objective = best_cost if best_choice is not None else None
-    if tables is None or _late(deadline):
-        if best_choice is None:
-            raise EGraphError("time budget spent before any feasible selection was found")
-        return ExtractionSolution(best_choice, best_cost,
-                                  SolverStats(0, False, start, start_objective))
-    forced, h = tables
-    # A path back to a class over decided edges is a path in the class graph,
-    # so only a class in a cyclic component can close a cycle.
-    on_cycle = {c for comp, cyclic in order if cyclic for c in comp}
-
-    choice: dict[int, ENode] = {}
-    edges: dict[int, tuple[int, ...]] = {}  # decided class -> its combinational children
-    decided = edges.keys()
-
-    def reaches(srcs: tuple[int, ...], dst: int) -> bool:
-        stack, seen = list(srcs), set()
-        while stack:
-            x = stack.pop()
-            if x == dst:
-                return True
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(edges.get(x, ()))
-        return False
-
-    # Decision order, most constrained first; the heap holds ranks.
-    ranked = sorted(rows_of, key=lambda c: (len(rows_of[c]) > 1, -h[c] / len(rows_of[c]), c))
-    rank = {c: i for i, c in enumerate(ranked)}
-
-    undecided = {c for r in roots for c in forced[r]}
-    # A min-heap of the ranks of the classes in `queued`: every undecided
-    # class once, and classes that left the undecided set after they were
-    # pushed, which are skipped when they come off it.
-    queue = sorted(rank[c] for c in undecided)
-    queued = set(undecided)
-    frames: list[list] = []
-    cost, lb = 0.0, sum(h[c] for c in undecided)
-    root_bound = lb
     explored = 0
-    out_of_time = False
-    while True:
-        # Visit the node (cost, lb): the selection in `choice`, `undecided` to go.
-        explored += 1
-        if deadline is not None and explored % 256 == 0 and time.monotonic() > deadline:
-            out_of_time = True
-            break
-        if not undecided:
-            if cost <= best_cost + 1e-9:
-                key = sel_key(choice)
-                if cost < best_cost - 1e-9 or best_key is None or key < best_key:
-                    best_choice = dict(choice)
-                    best_cost = cost
-                    best_key = key
-        elif cost + lb <= best_cost + 1e-9:
-            cid = ranked[heappop(queue)]
-            while cid not in undecided:
-                queued.remove(cid)
-                cid = ranked[heappop(queue)]
-            queued.remove(cid)
-            undecided.remove(cid)
-            frames.append([cid, rows_of[cid], 0, cost, lb - h[cid], ()])
-        # Move to the next child of the deepest frame that has one left.
-        while frames:
-            frame = frames[-1]
-            cid, cand_rows, i, base, rest_lb, grown = frame
-            if i:  # undo the row tried last
-                del choice[cid]
-                del edges[cid]
-                undecided.difference_update(grown)
-            descend = False
-            while i < len(cand_rows):
-                score, n, needs, comb = cand_rows[i]
-                i += 1
-                if base + score + rest_lb > best_cost + 1e-9:
-                    break  # rows are sorted; nothing cheaper follows
-                # Only a decided class has edges, so only one can lead back to cid.
-                if cid in comb or (cid in on_cycle and not decided.isdisjoint(comb)
-                                   and reaches(comb, cid)):
+    root_bound = None
+    try:
+        rows_of, order, parent, shared = _search_rows(problem, roots, deadline)
+        greedy = _greedy(rows_of, order, roots, deadline)
+        greedy_cost = selection_cost(problem, greedy)
+        if greedy_cost < best_cost - 1e-9:
+            best_choice, best_key = greedy, sel_key(greedy)
+            best_cost = start_objective = greedy_cost
+            start = "greedy"
+        forced, h = _bound_tables(rows_of, order, parent, shared, deadline)
+        _check_clock(deadline)
+        # A path back to a class over decided edges is a path in the class graph,
+        # so only a class in a cyclic component can close a cycle.
+        on_cycle = {c for comp, cyclic in order if cyclic for c in comp}
+
+        choice: dict[int, ENode] = {}
+        edges: dict[int, tuple[int, ...]] = {}  # decided class -> its combinational children
+        decided = edges.keys()
+
+        def reaches(srcs: tuple[int, ...], dst: int) -> bool:
+            stack, seen = list(srcs), set()
+            while stack:
+                x = stack.pop()
+                if x == dst:
+                    return True
+                if x in seen:
                     continue
-                choice[cid] = n
-                edges[cid] = comb
-                lb = rest_lb
-                grown = []
-                for x in needs:
-                    if x not in choice and x not in undecided:
-                        undecided.add(x)
-                        grown.append(x)
-                        lb += h[x]
-                        if x not in queued:
-                            queued.add(x)
-                            heappush(queue, rank[x])
-                frame[2] = i
-                frame[5] = grown
-                cost = base + score
-                descend = True
-                break
-            if descend:
-                break
-            frames.pop()
-            undecided.add(cid)
-            queued.add(cid)
-            heappush(queue, rank[cid])
-        else:
-            break  # no frame left: the search is exhausted
-    if best_choice is None:
-        raise EGraphError("search exhausted with no feasible selection")
+                seen.add(x)
+                stack.extend(edges.get(x, ()))
+            return False
+
+        # Decision order, most constrained first; the heap holds ranks.
+        ranked = sorted(rows_of, key=lambda c: (len(rows_of[c]) > 1, -h[c] / len(rows_of[c]), c))
+        rank = {c: i for i, c in enumerate(ranked)}
+
+        undecided = {c for r in roots for c in forced[r]}
+        # A min-heap of the ranks of the classes in `queued`: every undecided
+        # class once, and classes that left the undecided set after they were
+        # pushed, which are skipped when they come off it.
+        queue = sorted(rank[c] for c in undecided)
+        queued = set(undecided)
+        frames: list[list] = []
+        cost, lb = 0.0, sum(h[c] for c in undecided)
+        root_bound = lb
+        while True:
+            # Visit the node (cost, lb): the selection in `choice`, `undecided` to go.
+            explored += 1
+            if explored % 256 == 0:
+                _check_clock(deadline)
+            if not undecided:
+                if cost <= best_cost + 1e-9:
+                    key = sel_key(choice)
+                    if cost < best_cost - 1e-9 or key < best_key:
+                        best_choice = dict(choice)
+                        best_cost = cost
+                        best_key = key
+            elif cost + lb <= best_cost + 1e-9:
+                cid = ranked[heappop(queue)]
+                while cid not in undecided:
+                    queued.remove(cid)
+                    cid = ranked[heappop(queue)]
+                queued.remove(cid)
+                undecided.remove(cid)
+                frames.append([cid, rows_of[cid], 0, cost, lb - h[cid], ()])
+            # Move to the next child of the deepest frame that has one left.
+            while frames:
+                frame = frames[-1]
+                cid, cand_rows, i, base, rest_lb, grown = frame
+                if i:  # undo the row tried last
+                    del choice[cid]
+                    del edges[cid]
+                    undecided.difference_update(grown)
+                descend = False
+                while i < len(cand_rows):
+                    score, n, needs, comb = cand_rows[i]
+                    i += 1
+                    if base + score + rest_lb > best_cost + 1e-9:
+                        break  # rows are sorted; nothing cheaper follows
+                    # Only a decided class has edges, so only one can lead back to cid.
+                    if cid in comb or (cid in on_cycle and not decided.isdisjoint(comb)
+                                       and reaches(comb, cid)):
+                        continue
+                    choice[cid] = n
+                    edges[cid] = comb
+                    lb = rest_lb
+                    grown = []
+                    for x in needs:
+                        if x not in choice and x not in undecided:
+                            undecided.add(x)
+                            grown.append(x)
+                            lb += h[x]
+                            if x not in queued:
+                                queued.add(x)
+                                heappush(queue, rank[x])
+                    frame[2] = i
+                    frame[5] = grown
+                    cost = base + score
+                    descend = True
+                    break
+                if descend:
+                    break
+                frames.pop()
+                undecided.add(cid)
+                queued.add(cid)
+                heappush(queue, rank[cid])
+            else:
+                break  # no frame left: the search is exhausted
+        proven = True
+    except _OutOfTime:
+        if best_choice is None:
+            raise EGraphError("time budget spent before any feasible selection was found") from None
+        proven = False
     return ExtractionSolution(best_choice, selection_cost(problem, best_choice),
-                              SolverStats(explored, not out_of_time, start, start_objective,
-                                          root_bound))
+                              SolverStats(explored, proven, start, start_objective, root_bound))
 
 
 def reconstruct(g: EGraph, solution: ExtractionSolution, base: Design) -> Design:

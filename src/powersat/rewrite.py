@@ -96,7 +96,9 @@ class Rewrite:
 # equality test. A match is the tuple of the matched class and the bound
 # locals, in the order of the matcher's `names`. The generated code reads
 # e-nodes by index: kind 0, child i at 1 + i; a constant's value 2 and
-# width 4; a replication's count 4.
+# width 4; a replication's count 4. It reads child ids without `find`: a
+# rebuilt graph's members have canonical children, and `apply_rules` and
+# `ematch` match only rebuilt graphs.
 
 
 class _Matcher(NamedTuple):
@@ -110,7 +112,7 @@ class _Matcher(NamedTuple):
 def _compile(pat: Pattern) -> _Matcher:
     lines = [
         "def match(g):",
-        "    find, width = g.find, g.class_width",
+        "    width = g.class_width",
         "    members = g.sorted_members()",
         "    out = []",
         "    seen = set()",
@@ -163,7 +165,7 @@ def _compile(pat: Pattern) -> _Matcher:
             emit(depth, f"w{n} = width({of})")
             emit(depth, f"for {n} in members[{c}]:")
             emit(depth + 1, f"if {n}[0] == 'rep' and {n}[4] == w{n}:")
-            emit(depth + 2, f"c{n} = find({n}[1])")
+            emit(depth + 2, f"c{n} = {n}[1]")
             step([(p.child, f"c{n}"), *rest], depth + 2)
         elif isinstance(p, PNode):
             if p.bind is not None:
@@ -186,7 +188,7 @@ def _compile(pat: Pattern) -> _Matcher:
                 emit(depth + 2, f"k{n} = {n}[0]")
             children = []
             for i, child in enumerate(p.children):
-                emit(depth + 2, f"c{n}_{i} = find({n}[{1 + i}])")
+                emit(depth + 2, f"c{n}_{i} = {n}[{1 + i}]")
                 children.append((child, f"c{n}_{i}"))
             step([*children, *rest], depth + 2)
         else:
@@ -207,7 +209,9 @@ _matcher = functools.cache(_compile)
 
 def ematch(g: EGraph, pat: Pattern) -> list[tuple[int, Subst]]:
     """All (class, substitution) pairs where the pattern matches, deduplicated,
-    in deterministic class-id order."""
+    in deterministic class-id order. Rebuilds the graph first: matchers read
+    members' child ids as canonical."""
+    g.rebuild()
     m = _matcher(pat)
     return [(key[0], dict(zip(m.names, key[1:]))) for key in m.match(g)]
 

@@ -7,9 +7,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersat import benchmarks, cli
-from powersat.egraph import EGraph, EGraphError, ENode
+from powersat.egraph import EGraph, EGraphError, ENode, closes_cycle, strongly_connected
 from powersat.equiv import cosimulate
 from powersat.extract import (
     ExtractionSolution,
@@ -102,19 +104,51 @@ def test_self_referential_member_is_skipped():
     assert sol.objective == pytest.approx(10.0)
 
 
-def test_infeasible_problem_raises():
+@pytest.mark.parametrize("kind", ["and", "reg"])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, None],
+                         ids=["negative", "nan", "inf", "missing"])
+def test_build_problem_rejects_a_bad_score(bad, kind):
+    # The search's bound and the greedy start hold only for scores that are
+    # finite and at least 0. Class a's loop member reads a itself: with a
+    # score of -1.0 the greedy start would pick it and close a loop.
     g = EGraph()
-    v = g.add(ENode("var", (), 2, "v"))
-    b_cls = g.add(ENode("not", (v,), 2))
-    c_cls = g.add(ENode("not", (b_cls,), 2))
-    g.merge(v, c_cls)
+    a = g.add(ENode("var", (), 2, "a"))
+    en = g.add(ENode("var", (), 1, "en"))
+    loop = ENode("and", (a, a), 2) if kind == "and" else ENode("reg", (a, en), 2)
+    g.merge(a, g.add(loop))
     g.rebuild()
-    problem = build_problem(g, zero_scores(g), roots=[g.find(b_cls)])
-    # strip the escape hatch: leave only the mutually recursive members
-    acls = g.find(v)
-    problem.scores[acls] = {n: s for n, s in problem.scores[acls].items() if n.kind != "var"}
-    with pytest.raises(EGraphError, match="no feasible selection"):
-        solve(problem)
+    a = g.find(a)
+    scores = zero_scores(g)
+    scores[a] = {n: 10.0 for n in g.nodes_of(a) if n.kind != kind}
+    if bad is not None:
+        scores[a][next(n for n in g.nodes_of(a) if n.kind == kind)] = bad
+    with pytest.raises(EGraphError, match=rf"^class {a}: node ENode\(kind='{kind}'.* got {bad}$"):
+        build_problem(g, scores, roots=[a])
+
+
+def test_negative_scores_are_rejected_before_the_search():
+    # With these scores the search returned 10.485 marked proven, against a
+    # brute-force optimum of 6.469.
+    rng = random.Random(86)
+    g, roots, scores = random_egraph(rng)
+    for per in scores.values():
+        for n in per:
+            if rng.random() < 0.3:
+                per[n] = -rng.choice((0.5, 1.0, 3.0, 7.0))
+    with pytest.raises(EGraphError, match="needs a finite score >= 0"):
+        build_problem(g, scores, roots=roots)
+
+
+def test_build_problem_rejects_an_incumbent_node_of_another_class():
+    d = parse_design(FIG1)
+    g = EGraph()
+    g.add_expr(d)
+    apply_rules(g, rules_by_name(None), max_iters=2)
+    seed = seed_from_design(g, d)
+    root = g.find(g.design_classes(d)[d.outputs[0][1]])
+    seed[root] = next(n for c, n in seed.items() if c != root)
+    with pytest.raises(EGraphError, match=f"incumbent picks .* for class {root},"):
+        build_problem(g, zero_scores(g), incumbent=seed)
 
 
 def test_register_row_is_not_a_twin_of_a_combinational_row():
@@ -379,29 +413,21 @@ def test_zero_budget_returns_the_seed_not_the_greedy_start(comb_at_4):
     assert sol.stats.root_bound is None
 
 
-@pytest.mark.parametrize("kind", ["and", "reg"])
-def test_greedy_start_with_a_cycle_is_rejected(kind):
-    # With scores of at least 0 the greedy picks close no cycle; a negative
-    # score lets class a pick a member that reads a itself. The search
-    # forbids the combinational loop; reconstruct cannot build the register
-    # loop, so the greedy start must not bring one in.
-    g = EGraph()
-    a = g.add(ENode("var", (), 2, "a"))
-    en = g.add(ENode("var", (), 1, "en"))
-    loop = ENode("and", (a, a), 2) if kind == "and" else ENode("reg", (a, en), 2)
-    g.merge(a, g.add(loop))
-    g.rebuild()
-    a = g.find(a)
-    scores = zero_scores(g)
-    scores[a] = {n: -1.0 if n.kind == kind else 10.0 for n in g.nodes_of(a)}
-    seed = {a: next(n for n in g.nodes_of(a) if n.kind == "var")}
-    problem = build_problem(g, scores, roots=[a], incumbent=seed)
-    assert greedy_selection(problem) is None
-    sol = solve(problem)
-    assert sol.stats.start == "design" and sol.stats.start_objective == 10.0
-    assert sol.stats.proven_optimal
-    if kind == "and":
-        assert (sol.choice, sol.objective) == (seed, 10.0)
+@settings(max_examples=300)
+@given(st.integers(0, 10**9))
+def test_greedy_start_is_closed_and_acyclic(seed):
+    # Scores from a small set with many zeros make ties common. The picks
+    # must close no cycle, register edges included: the search forbids
+    # combinational loops and reconstruct cannot build register loops.
+    rng = random.Random(seed)
+    g, roots, scores = random_egraph(rng)
+    scores = {cid: {n: rng.choice((0.0, 0.0, 0.5, 1.0, 2.0)) for n in per}
+              for cid, per in scores.items()}
+    problem = build_problem(g, scores, roots=roots)
+    greedy = greedy_selection(problem)
+    assert _closure(g, greedy, problem.roots) == greedy
+    reads = {c: [g.find(x) for x in n.children] for c, n in greedy.items()}
+    assert not any(closes_cycle(comp, reads) for comp in strongly_connected(reads))
 
 
 def test_selection_deeper_than_the_recursion_limit():
